@@ -35,7 +35,6 @@ from .linalg import (
     centered_pinv_update,
     effective_rank,
     pinv,
-    pinv_rank,
     unit_eigenvalue_certificate,
     vandermonde,
 )

@@ -105,7 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", required=True, help="trajectory matrix file (rows cols header)")
         p.add_argument("--rank", type=int, default=None, help="truncation rank (default: numerical rank)")
         p.add_argument("--tol", type=float, default=EXACT_TOL, help="relative singular-value cutoff")
-        p.add_argument("--seed", type=int, default=0, help="seed (decompositions are deterministic; accepted for uniformity)")
         p.add_argument("--out", default=None, help="write the JSON result here instead of stdout")
 
     add_common(sub.add_parser("dmd", help="SVD-based decomposition of the raw data"))
@@ -113,7 +112,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("companion", help="companion-matrix decomposition")
     p.add_argument("--input", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("freq-sub", help="decomposition after removing fixed frequencies")

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import InvalidInput, RankTooHigh
-from .linalg import EXACT_TOL, effective_rank, pinv, pinv_rank, vandermonde
+from .linalg import EXACT_TOL, _inverse_singular_values, effective_rank, pinv, vandermonde
 
 #: Eigenvalues within this distance of 1 count as the background mode.
 UNIT_TOL = 1e-6
@@ -79,11 +79,15 @@ class CompanionModel:
     residual_norm: float
 
     def companion_matrix(self) -> np.ndarray:
-        T = self.c_coeffs.shape[0]
-        C = np.zeros((T, T), dtype=self.c_coeffs.dtype)
-        C[np.arange(1, T), np.arange(T - 1)] = 1.0
-        C[:, -1] = self.c_coeffs
-        return C
+        return _companion_matrix(self.c_coeffs)
+
+
+def _companion_matrix(c) -> np.ndarray:
+    T = c.shape[0]
+    C = np.zeros((T, T), dtype=c.dtype)
+    C[np.arange(1, T), np.arange(T - 1)] = 1.0
+    C[:, -1] = c
+    return C
 
 
 @dataclass(frozen=True)
@@ -129,17 +133,10 @@ def _fit_amplitudes(modes, x0):
     return amps
 
 
-def exact_dmd(
-    pair: SnapshotPair,
-    r: int | None = None,
-    rel_tol: float = EXACT_TOL,
-    method: str = "exact",
-) -> DmdModel:
-    """SVD-based DMD of a snapshot pair, truncated at rank ``r``.
+def _svd_fit(pair: SnapshotPair, r: int | None, rel_tol: float, method: str):
+    """The one SVD of every fit: the model, ``U_r``, ``Z = X2 V_r Sigma_r^-1`` and ``Atilde = U_r^H Z``.
 
-    Defaults to the numerically exact rank of ``X1``. Modes are the exact
-    modes (projection of the reduced eigenvectors through ``X2``), scaled to
-    unit norm; near-zero eigenvalues get zero modes.
+    The rank-``r`` operator ``X2 X1_r^+`` is ``Z U_r^H``; callers keep it factored, never n x n.
     """
     X1, X2 = pair.X1, pair.X2
     U, s, Vt = np.linalg.svd(X1, full_matrices=False)
@@ -152,7 +149,7 @@ def exact_dmd(
         raise InvalidInput("truncation rank must be >= 1 (is the data all zero?)")
     U, s, Vt = U[:, :r], s[:r], Vt[:r]
 
-    Z = X2 @ (Vt.conj().T / s)  # X2 V Sigma^{-1}, n x r
+    Z = X2 @ (Vt.conj().T * _inverse_singular_values(s))  # X2 V Sigma^{-1}, n x r
     Atilde = U.conj().T @ Z
     lams, W = np.linalg.eig(Atilde)
 
@@ -165,7 +162,17 @@ def exact_dmd(
         if max_mod > 0 and np.abs(lam) >= ZERO_TOL_FACTOR * max_mod:
             modes[:, i], _ = canonicalize_mode(Z @ W[:, i] / lam)
     amps = _fit_amplitudes(modes, X1[:, 0])
-    return DmdModel(lams, modes, amps, method, r)
+    return DmdModel(lams, modes, amps, method, r), U, Z, Atilde
+
+
+def exact_dmd(pair: SnapshotPair, r: int | None = None, rel_tol: float = EXACT_TOL) -> DmdModel:
+    """SVD-based DMD of a snapshot pair, truncated at rank ``r``.
+
+    Defaults to the numerically exact rank of ``X1``. Modes are the exact
+    modes (projection of the reduced eigenvectors through ``X2``), scaled to
+    unit norm; near-zero eigenvalues get zero modes.
+    """
+    return _svd_fit(pair, r, rel_tol, "exact")[0]
 
 
 def centered_dmd(
@@ -176,10 +183,11 @@ def centered_dmd(
 ) -> CenteredDmdModel:
     """DMD on column-centered snapshots, with the equivalent affine term.
 
-    Centers ``X1`` and ``X2`` by their column means, fits exact DMD on the
-    centered pair, and recovers the bias ``mu2 - Abar @ mu1``. When no
-    eigenvalue lies within ``unit_tol`` of 1, the fixed point of the affine
-    model is solved for as well.
+    Centers ``X1`` and ``X2`` by their column means and fits exact DMD on the
+    centered pair, whose operator is ``Z U_r^H`` (``Z = Xb2 V_r Sigma_r^-1``,
+    ``Atilde = U_r^H Z``); the bias is ``mu2 - Z (U_r^H mu1)``. When no
+    eigenvalue lies within ``unit_tol`` of 1, the fixed point is solved for as
+    well, by Woodbury as an r x r solve: ``bias + Z (I_r - Atilde)^-1 U_r^H bias``.
     """
     if pair.T < 2:
         raise InvalidInput("centered DMD needs at least 2 snapshot columns")
@@ -187,14 +195,11 @@ def centered_dmd(
     mu2 = pair.X2.mean(axis=1)
     Xb1 = pair.X1 - mu1[:, None]
     Xb2 = pair.X2 - mu2[:, None]
-    base = exact_dmd(SnapshotPair(Xb1, Xb2), r=r, rel_tol=rel_tol, method="centered")
-    Abar = Xb2 @ pinv_rank(Xb1, base.rank_used)
-    bias = mu2 - Abar @ mu1
+    base, U, Z, Atilde = _svd_fit(SnapshotPair(Xb1, Xb2), r, rel_tol, "centered")
+    bias = mu2 - Z @ (U.conj().T @ mu1)
     fixed_point = None
     if np.min(np.abs(base.eigenvalues - 1.0)) > unit_tol:
-        fixed_point = np.linalg.solve(np.eye(pair.n) - Abar, bias)
-        if np.isrealobj(pair.X1) and np.isrealobj(pair.X2):
-            fixed_point = fixed_point.real if np.isrealobj(fixed_point) else fixed_point
+        fixed_point = bias + Z @ np.linalg.solve(np.eye(base.rank_used) - Atilde, U.conj().T @ bias)
     return CenteredDmdModel(base, bias, fixed_point, mu1, mu2)
 
 
@@ -230,9 +235,8 @@ def companion_dmd(X) -> CompanionModel:
     X1 = X[:, :-1]
     x_last = X[:, -1]
     c = pinv(X1) @ x_last
-    model = CompanionModel(c, np.empty(0), float(np.linalg.norm(x_last - X1 @ c)))
-    eigs = np.linalg.eigvals(model.companion_matrix())
-    return CompanionModel(c, eigs, model.residual_norm)
+    eigs = np.linalg.eigvals(_companion_matrix(c))
+    return CompanionModel(c, eigs, float(np.linalg.norm(x_last - X1 @ c)))
 
 
 def frequency_subtracted_dmd(
@@ -244,9 +248,10 @@ def frequency_subtracted_dmd(
     """DMD after projecting known fixed-frequency content out of the data.
 
     Right-multiplies both snapshot blocks by the orthogonal projector that
-    annihilates the row space of the Vandermonde matrix over
+    annihilates the row space of the Vandermonde matrix ``Lt`` over
     ``fixed_lambdas``, fits exact DMD on the projected pair, and recovers the
-    forcing coefficient matrix ``B``.
+    forcing coefficient matrix ``B = (X2 - Z (U_r^H X1)) Lt^+``, with ``U_r``
+    and ``Z = X2p V_r Sigma_r^-1`` from that fit.
     """
     lams = np.atleast_1d(np.asarray(fixed_lambdas, dtype=complex))
     if lams.size == 0:
@@ -260,9 +265,8 @@ def frequency_subtracted_dmd(
     Lt_pinv = pinv(Lt)  # T x k
     X1p = pair.X1 - (pair.X1 @ Lt_pinv) @ Lt
     X2p = pair.X2 - (pair.X2 @ Lt_pinv) @ Lt
-    base = exact_dmd(SnapshotPair(X1p, X2p), r=r, rel_tol=rel_tol, method="freq_subtracted")
-    Ap = X2p @ pinv_rank(X1p, base.rank_used)
-    B = (pair.X2 - Ap @ pair.X1) @ Lt_pinv
+    base, U, Z, _ = _svd_fit(SnapshotPair(X1p, X2p), r, rel_tol, "freq_subtracted")
+    B = (pair.X2 - Z @ (U.conj().T @ pair.X1)) @ Lt_pinv
     return FrequencyModel(base, lams, B)
 
 

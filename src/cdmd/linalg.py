@@ -37,6 +37,15 @@ def _as_matrix(M, name="M"):
     return M
 
 
+def _inverse_singular_values(s) -> np.ndarray:
+    """``1 / s`` for kept singular values ``s``; InvalidInput if one overflows (subnormal ``s``)."""
+    with np.errstate(divide="ignore", over="ignore"):
+        inv = 1.0 / s
+    if not np.all(np.isfinite(inv)):
+        raise InvalidInput(f"singular value {np.min(s):.3g} is too small to invert in floating point")
+    return inv
+
+
 def pinv(M, rel_tol: float = EXACT_TOL) -> np.ndarray:
     """Moore-Penrose pseudoinverse via SVD.
 
@@ -50,21 +59,7 @@ def pinv(M, rel_tol: float = EXACT_TOL) -> np.ndarray:
         return np.zeros((M.shape[1], M.shape[0]), dtype=M.dtype)
     keep = s > rel_tol * s[0]
     U, s, Vt = U[:, keep], s[keep], Vt[keep]
-    return (Vt.conj().T / s) @ U.conj().T
-
-
-def pinv_rank(M, r: int) -> np.ndarray:
-    """Pseudoinverse of the best rank-``r`` approximation of ``M``."""
-    M = _as_matrix(M)
-    if r < 0 or r > min(M.shape):
-        raise InvalidInput(f"rank {r} out of range for shape {M.shape}")
-    if r == 0:
-        return np.zeros((M.shape[1], M.shape[0]), dtype=M.dtype)
-    U, s, Vt = np.linalg.svd(M, full_matrices=False)
-    U, s, Vt = U[:, :r], s[:r], Vt[:r]
-    if s[-1] == 0.0:
-        raise InvalidInput(f"matrix has rank below requested {r}")
-    return (Vt.conj().T / s) @ U.conj().T
+    return (Vt.conj().T * _inverse_singular_values(s)) @ U.conj().T
 
 
 def _oht_coefficient(beta: float) -> float:

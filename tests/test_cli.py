@@ -94,6 +94,17 @@ class TestSubcommands:
             main(["bogus"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["dmd"], ["centered-dmd"], ["companion"], ["freq-sub", "--lambda", "1,0"]],
+        ids=["dmd", "centered-dmd", "companion", "freq-sub"],
+    )
+    def test_decomposition_seed_rejected(self, argv, golden_file, capsys):
+        # Decompositions are deterministic, so only `experiment` takes --seed.
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--input", str(golden_file), "--seed", "0"])
+        assert exc.value.code == 2
+
 
 class TestExperiments:
     def test_fast_experiments_pass(self, tmp_path, capsys):

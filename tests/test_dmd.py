@@ -17,9 +17,10 @@ from cdmd import (
     reconstruct,
     simulate,
     split_snapshots,
+    synth_video,
     well_posed_initial_state,
 )
-from cdmd.dmd import canonicalize_mode
+from cdmd.dmd import SnapshotPair, canonicalize_mode
 from cdmd.synth import LinearSystemSpec
 
 
@@ -115,6 +116,12 @@ class TestExactDmd:
         mods = np.abs(model.eigenvalues)
         assert np.all(np.diff(mods) <= 1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    def test_subnormal_singular_value_rejected(self):
+        X1 = np.array([[5e-324, 0.0]])
+        with pytest.raises(InvalidInput, match="too small to invert"):
+            exact_dmd(SnapshotPair(X1, np.zeros_like(X1)))
+
 
 class TestCenteredDmd:
     def test_golden_affine_example(self):
@@ -163,6 +170,21 @@ class TestCenteredDmd:
         model = centered_dmd(split_snapshots(X), r=3)
         assert np.allclose(model.mean1, X[:, :-1].mean(axis=1))
         assert np.allclose(model.mean2, X[:, 1:].mean(axis=1))
+
+    @pytest.mark.filterwarnings("error")
+    def test_subnormal_singular_value_rejected(self):
+        X1 = np.array([[5e-324, 0.0]])
+        with pytest.raises(InvalidInput, match="too small to invert"):
+            centered_dmd(SnapshotPair(X1, np.zeros_like(X1)))
+
+    def test_256x256_video_fixed_point_is_background(self):
+        # n = 65536: a dense n x n operator alone would take 34 GB.
+        pair = split_snapshots(synth_video(256, 256, 48, seed=0))
+        cen = centered_dmd(pair)
+        unc = exact_dmd(pair)
+        background, _ = canonicalize_mode(unc.modes[:, int(np.argmin(np.abs(unc.eigenvalues - 1.0)))])
+        fixed, _ = canonicalize_mode(cen.fixed_point)
+        assert np.linalg.norm(background - fixed) < 1e-6
 
 
 class TestAffineDmdDirect:

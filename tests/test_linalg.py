@@ -8,7 +8,6 @@ from cdmd.linalg import (
     centered_pinv_update,
     effective_rank,
     pinv,
-    pinv_rank,
     unit_eigenvalue_certificate,
     vandermonde,
 )
@@ -47,12 +46,11 @@ class TestPinv:
         with pytest.raises(InvalidInput):
             pinv(np.eye(2), rel_tol=2.0)
 
-    def test_pinv_rank_truncates(self):
-        rng = np.random.default_rng(1)
-        M = rng.standard_normal((6, 3)) @ rng.standard_normal((3, 8))
-        assert np.allclose(pinv_rank(M, 3), pinv(M))
-        with pytest.raises(InvalidInput):
-            pinv_rank(M, 9)
+    @pytest.mark.filterwarnings("error")
+    def test_subnormal_singular_value_rejected(self):
+        # 1 / 5e-324 overflows; the pseudoinverse used to come back as [[inf], [0]].
+        with pytest.raises(InvalidInput, match="too small to invert"):
+            pinv(np.array([[5e-324, 0.0]]))
 
 
 class TestEffectiveRank:

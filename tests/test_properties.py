@@ -8,11 +8,12 @@ under centering, uniqueness cross-checks, and generator round-trips.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cdmd import (
+    InvalidInput,
     affine_dmd_direct,
     centered_dmd,
     exact_dmd,
@@ -24,7 +25,14 @@ from cdmd import (
     well_posed_initial_state,
 )
 from cdmd.dmd import SnapshotPair
-from cdmd.linalg import centered_pinv_update, effective_rank, pinv, unit_eigenvalue_certificate, vandermonde
+from cdmd.linalg import (
+    EXACT_TOL,
+    centered_pinv_update,
+    effective_rank,
+    pinv,
+    unit_eigenvalue_certificate,
+    vandermonde,
+)
 
 finite_floats = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False)
 
@@ -39,8 +47,17 @@ def matrices(max_rows=6, max_cols=8):
 
 class TestPenroseConditions:
     @given(matrices())
+    @example(np.array([[5e-324, 0.0]]))
     @settings(max_examples=100, deadline=None)
     def test_penrose(self, M):
+        s = np.linalg.svd(M, compute_uv=False)
+        with np.errstate(divide="ignore", over="ignore"):
+            overflows = s[0] > 0 and not np.all(np.isfinite(1.0 / s[s > EXACT_TOL * s[0]]))
+        if overflows:
+            # 1/sigma of a kept singular value overflows: no finite pseudoinverse.
+            with pytest.raises(InvalidInput):
+                pinv(M)
+            return
         P = pinv(M)
         nM = np.linalg.norm(M) or 1.0
         nP = np.linalg.norm(P) or 1.0
@@ -259,3 +276,84 @@ class TestSnapshotPairValidation:
 
         with pytest.raises(InvalidInput):
             SnapshotPair(np.array([[np.inf, 1.0]]), np.array([[1.0, 2.0]]))
+
+
+def _regime_data(regime, seed):
+    """Offset Gaussian data, n x (T+1), in one of three shape regimes, plus a rank to fit at.
+
+    ``tall`` has n >> T, ``wide`` has T >> n, and ``rank_deficient`` has rank
+    k < min(n, T) and is fitted at its numerical rank (``None``); the other
+    two are fitted at a drawn truncation rank.
+    """
+    rng = np.random.default_rng(seed)
+    if regime == "tall":
+        n, T = int(rng.integers(20, 61)), int(rng.integers(3, 9))
+    elif regime == "wide":
+        n, T = int(rng.integers(2, 7)), int(rng.integers(20, 81))
+    else:
+        n, T = int(rng.integers(6, 31)), int(rng.integers(6, 31))
+    if regime == "rank_deficient":
+        k = int(rng.integers(1, min(n, T) - 1))
+        X = rng.standard_normal((n, k)) @ rng.standard_normal((k, T + 1))
+        r = None
+    else:
+        X = rng.standard_normal((n, T + 1))
+        r = int(rng.integers(1, min(n, T)))
+    return X + rng.standard_normal((n, 1)), r
+
+
+def _dense_operator(Y1, Y2, r):
+    """Dense n x n ``Y2 @ pinv_r(Y1)`` (truncated-SVD pseudoinverse at rank ``r``) and ``cond(I_r - Atilde)``.
+
+    ``Atilde = U_r^H Y2 V_r Sigma_r^-1`` equals ``U_r^H A U_r`` for the dense operator ``A``.
+    """
+    U, s, Vt = np.linalg.svd(Y1, full_matrices=False)
+    U, s, Vt = U[:, :r], s[:r], Vt[:r]
+    A = Y2 @ ((Vt.conj().T / s) @ U.conj().T)
+    return A, np.linalg.cond(np.eye(r) - U.conj().T @ A @ U)
+
+
+REGIMES = st.sampled_from(["tall", "wide", "rank_deficient"])
+
+
+class TestReducedAgainstDenseOperator:
+    """The reduced-coordinate bias, fixed point and forcing against a dense n x n reference."""
+
+    @given(REGIMES, st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_centered_bias_and_fixed_point(self, regime, seed):
+        X, r = _regime_data(regime, seed)
+        pair = split_snapshots(X)
+        cen = centered_dmd(pair, r=r)
+        r = cen.base.rank_used
+        mu1, mu2 = pair.X1.mean(axis=1), pair.X2.mean(axis=1)
+        Xb1, Xb2 = pair.X1 - mu1[:, None], pair.X2 - mu2[:, None]
+        Abar, cond = _dense_operator(Xb1, Xb2, r)
+        bias = mu2 - Abar @ mu1
+        scale = 1.0 + np.linalg.norm(Abar)
+        assert np.linalg.norm(cen.bias - bias) <= 1e-13 * scale * (np.linalg.norm(mu2) + np.linalg.norm(mu1))
+        if cen.fixed_point is None:
+            return
+        fixed_point = np.linalg.solve(np.eye(pair.n) - Abar, bias)
+        assert np.linalg.norm(cen.fixed_point - fixed_point) <= 1e-13 * cond * scale * np.linalg.norm(fixed_point)
+
+    @given(REGIMES, st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_frequency_subtracted_forcing(self, regime, seed):
+        X, r = _regime_data(regime, seed)
+        pair = split_snapshots(X)
+        rng = np.random.default_rng(seed)
+        lam = np.exp(2j * np.pi * rng.uniform(0.05, 0.45))
+        lams = [lam, np.conj(lam)] if pair.T > 3 else [lam]
+        if r is not None:
+            r = min(r, pair.T - len(lams))
+        sub = frequency_subtracted_dmd(pair, lams, r=r)
+        r = sub.base.rank_used
+        Lt = vandermonde(lams, pair.T).T
+        Lt_pinv = pinv(Lt)
+        X1p = pair.X1 - (pair.X1 @ Lt_pinv) @ Lt
+        X2p = pair.X2 - (pair.X2 @ Lt_pinv) @ Lt
+        Ap, _ = _dense_operator(X1p, X2p, r)
+        B = (pair.X2 - Ap @ pair.X1) @ Lt_pinv
+        scale = (np.linalg.norm(pair.X2) + np.linalg.norm(Ap) * np.linalg.norm(pair.X1)) * np.linalg.norm(Lt_pinv)
+        assert np.linalg.norm(sub.B - B) <= 1e-13 * scale
