@@ -133,24 +133,41 @@ def _fit_amplitudes(modes, x0):
     return amps
 
 
-def _svd_fit(pair: SnapshotPair, r: int | None, rel_tol: float, method: str):
-    """The one SVD of every fit: the model, ``U_r``, ``Z = X2 V_r Sigma_r^-1`` and ``Atilde = U_r^H Z``.
+def _reduce(X1, X2, r: int | None, rel_tol: float):
+    """SVD of ``X1`` and the reduced operator: ``U_r``, ``Z = X2 V_r Sigma_r^-1`` and ``Atilde = U_r^H Z``.
 
-    The rank-``r`` operator ``X2 X1_r^+`` is ``Z U_r^H``; callers keep it factored, never n x n.
+    Takes one n x T pair or an (R, n, T) stack of pairs. ``r`` defaults to the
+    number of singular values above ``rel_tol * sigma_max`` of a single pair; a
+    stack needs ``r`` and raises RankTooHigh if any slice has fewer than ``r``.
+    Raises InvalidInput when ``Z`` or ``Atilde`` is not finite (badly scaled data).
     """
-    X1, X2 = pair.X1, pair.X2
     U, s, Vt = np.linalg.svd(X1, full_matrices=False)
-    available = int(np.sum(s > rel_tol * s[0])) if s.size and s[0] > 0 else 0
+    if r is None and s.ndim > 1:
+        raise InvalidInput("a stack of snapshot pairs needs an explicit rank")
+    available = int(np.min(np.sum(s > rel_tol * s[..., :1], axis=-1)))
     if r is None:
         r = available
     if r > available:
         raise RankTooHigh(f"requested rank {r} but only {available} singular values above tolerance")
     if r < 1:
         raise InvalidInput("truncation rank must be >= 1 (is the data all zero?)")
-    U, s, Vt = U[:, :r], s[:r], Vt[:r]
+    U, s, Vt = U[..., :r], s[..., :r], Vt[..., :r, :]
 
-    Z = X2 @ (Vt.conj().T * _inverse_singular_values(s))  # X2 V Sigma^{-1}, n x r
-    Atilde = U.conj().T @ Z
+    with np.errstate(over="ignore", invalid="ignore"):
+        Z = X2 @ (Vt.conj().swapaxes(-1, -2) * _inverse_singular_values(s)[..., None, :])  # X2 V Sigma^{-1}, (R x) n x r
+        Atilde = U.conj().swapaxes(-1, -2) @ Z
+    if not (np.all(np.isfinite(Z)) and np.all(np.isfinite(Atilde))):
+        raise InvalidInput("the reduced operator overflows: X2 is too large for the smallest kept singular value of X1")
+    return U, Z, Atilde
+
+
+def _svd_fit(pair: SnapshotPair, r: int | None, rel_tol: float, method: str):
+    """The one SVD of every fit: the model, ``U_r``, ``Z = X2 V_r Sigma_r^-1`` and ``Atilde = U_r^H Z``.
+
+    The rank-``r`` operator ``X2 X1_r^+`` is ``Z U_r^H``; callers keep it factored, never n x n.
+    """
+    U, Z, Atilde = _reduce(pair.X1, pair.X2, r, rel_tol)
+    r = Atilde.shape[0]
     lams, W = np.linalg.eig(Atilde)
 
     order = np.lexsort((np.angle(lams), -np.abs(lams)))
@@ -161,8 +178,23 @@ def _svd_fit(pair: SnapshotPair, r: int | None, rel_tol: float, method: str):
     for i, lam in enumerate(lams):
         if max_mod > 0 and np.abs(lam) >= ZERO_TOL_FACTOR * max_mod:
             modes[:, i], _ = canonicalize_mode(Z @ W[:, i] / lam)
-    amps = _fit_amplitudes(modes, X1[:, 0])
+    amps = _fit_amplitudes(modes, pair.X1[:, 0])
     return DmdModel(lams, modes, amps, method, r), U, Z, Atilde
+
+
+def _eigenvalues(X1, X2, r: int, centered: bool = False) -> np.ndarray:
+    """Eigenvalues of the rank-``r`` DMD operator, without modes or amplitudes.
+
+    ``X1`` and ``X2`` are one n x T pair or (R, n, T) stacks of pairs; with
+    ``centered`` each pair is centered by its column means first, as in
+    ``centered_dmd``. Returns ``eigvals(Atilde)`` in LAPACK order, shape (r,)
+    or (R, r): up to order and rounding, the ``eigenvalues`` of ``exact_dmd``
+    or of ``centered_dmd(...).base`` at the same rank.
+    """
+    if centered:
+        X1 = X1 - X1.mean(axis=-1, keepdims=True)
+        X2 = X2 - X2.mean(axis=-1, keepdims=True)
+    return np.linalg.eigvals(_reduce(X1, X2, r, EXACT_TOL)[2])
 
 
 def exact_dmd(pair: SnapshotPair, r: int | None = None, rel_tol: float = EXACT_TOL) -> DmdModel:

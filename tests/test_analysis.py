@@ -5,8 +5,12 @@ import pytest
 
 from cdmd import (
     InvalidInput,
+    NoiseSpec,
+    add_noise,
+    centered_dmd,
     dft_power_spectrum,
     dmd_power_spectrum,
+    effective_rank,
     exact_dmd,
     match_spectra,
     noise_sweep,
@@ -18,6 +22,7 @@ from cdmd import (
     synth_line_noise,
     well_posed_initial_state,
 )
+from cdmd.analysis import _cell_seed
 from cdmd.dmd import DmdModel
 
 
@@ -86,6 +91,28 @@ class TestNoiseSweep:
     def test_validation(self):
         with pytest.raises(InvalidInput):
             noise_sweep(self._spec(), [1e-3], realizations=0, T=20)
+
+    def test_medians_match_looped_fits(self):
+        # Reference: one full centered and exact fit per (eta, realization) cell.
+        spec, etas, R, T, base_seed = self._spec(), [0.0, 1e-4, 1e-2], 7, 20, 5
+        X = simulate(spec, well_posed_initial_state(spec, seed=_cell_seed(base_seed, 2**31, 0)), T)
+        clean = split_snapshots(X)
+        r_unc = effective_rank(clean.X1).r
+        r_cen = effective_rank(clean.X1 - clean.X1.mean(axis=1, keepdims=True)).r
+        med_c, med_u = [], []
+        for i, eta in enumerate(etas):
+            d_c, d_u = [], []
+            for j in range(R):
+                pair = split_snapshots(add_noise(X, NoiseSpec(eta, _cell_seed(base_seed, i, j))))
+                d_c.append(spectral_distance(centered_dmd(pair, r=r_cen).base.eigenvalues, spec.eigenvalues).matched_distance)
+                unc = exact_dmd(pair, r=r_unc).eigenvalues
+                d_u.append(spectral_distance(unc, spec.eigenvalues, exclude_near_unity=True).matched_distance)
+            med_c.append(np.median(d_c))
+            med_u.append(np.median(d_u))
+        res = noise_sweep(spec, etas, realizations=R, T=T, base_seed=base_seed)
+        for got, want in ((res.median_distance_centered, med_c), (res.median_distance_uncentered, med_u)):
+            assert np.allclose(got[1:], want[1:], rtol=1e-12, atol=0)
+            assert np.all(np.abs(got[0] - want[0]) <= 1e-12)  # noiseless row: both are rounding error
 
 
 class TestDftPowerSpectrum:

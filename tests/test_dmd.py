@@ -5,13 +5,17 @@ import pytest
 
 from cdmd import (
     InvalidInput,
+    LorenzParams,
+    NoiseSpec,
     RankTooHigh,
+    add_noise,
     affine_dmd_direct,
     centered_dmd,
     companion_dmd,
     consistency_residual,
     exact_dmd,
     frequency_subtracted_dmd,
+    lorenz_rk4,
     match_spectra,
     random_linear_system,
     reconstruct,
@@ -20,7 +24,8 @@ from cdmd import (
     synth_video,
     well_posed_initial_state,
 )
-from cdmd.dmd import SnapshotPair, canonicalize_mode
+from cdmd.analysis import _cell_seed
+from cdmd.dmd import SnapshotPair, _eigenvalues, canonicalize_mode
 from cdmd.synth import LinearSystemSpec
 
 
@@ -122,6 +127,12 @@ class TestExactDmd:
         with pytest.raises(InvalidInput, match="too small to invert"):
             exact_dmd(SnapshotPair(X1, np.zeros_like(X1)))
 
+    @pytest.mark.filterwarnings("error")
+    def test_reduced_operator_overflow_rejected(self):
+        # 1/sigma = 1e300 is finite, but Z = X2 V Sigma^-1 is not.
+        with pytest.raises(InvalidInput, match="overflows"):
+            exact_dmd(SnapshotPair([[1e-300, 0.0]], [[1e10, 0.0]]))
+
 
 class TestCenteredDmd:
     def test_golden_affine_example(self):
@@ -177,6 +188,11 @@ class TestCenteredDmd:
         with pytest.raises(InvalidInput, match="too small to invert"):
             centered_dmd(SnapshotPair(X1, np.zeros_like(X1)))
 
+    @pytest.mark.filterwarnings("error")
+    def test_reduced_operator_overflow_rejected(self):
+        with pytest.raises(InvalidInput, match="overflows"):
+            centered_dmd(SnapshotPair([[1e-300, 0.0]], [[1e10, 0.0]]))
+
     def test_256x256_video_fixed_point_is_background(self):
         # n = 65536: a dense n x n operator alone would take 34 GB.
         pair = split_snapshots(synth_video(256, 256, 48, seed=0))
@@ -185,6 +201,60 @@ class TestCenteredDmd:
         background, _ = canonicalize_mode(unc.modes[:, int(np.argmin(np.abs(unc.eigenvalues - 1.0)))])
         fixed, _ = canonicalize_mode(cen.fixed_point)
         assert np.linalg.norm(background - fixed) < 1e-6
+
+
+def _assert_same_spectrum(a, b):
+    assert a.shape == b.shape
+    assert np.max(np.abs(np.sort_complex(a) - np.sort_complex(b))) <= 1e-10
+
+
+class TestBatchedEigenvalues:
+    """The eigenvalue-only path, for one pair and for stacks, against full fits."""
+
+    def test_noise_grid_stack_matches_looped_fits(self):
+        lams = np.append(random_linear_system(8, 4, seed=70).eigenvalues, 1.0)
+        spec = random_linear_system(8, 5, placement="prescribed", prescribed=lams, seed=71)
+        X = simulate(spec, well_posed_initial_state(spec, seed=72), 20)
+        for i, eta in enumerate([1e-5, 1e-3, 1e-2]):
+            Y = np.stack([add_noise(X, NoiseSpec(eta, _cell_seed(4, i, j))) for j in range(6)])
+            lam_c = _eigenvalues(Y[..., :-1], Y[..., 1:], 4, centered=True)
+            lam_u = _eigenvalues(Y[..., :-1], Y[..., 1:], 5)
+            for j, Yj in enumerate(Y):
+                pair = split_snapshots(Yj)
+                _assert_same_spectrum(lam_c[j], centered_dmd(pair, r=4).base.eigenvalues)
+                _assert_same_spectrum(lam_u[j], exact_dmd(pair, r=5).eigenvalues)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_lorenz_pair_matches_fits(self, seed):
+        pair = split_snapshots(add_noise(lorenz_rk4(LorenzParams()), NoiseSpec(eta=0.03, seed=seed)))
+        _assert_same_spectrum(_eigenvalues(pair.X1, pair.X2, 3, centered=True), centered_dmd(pair, r=3).base.eigenvalues)
+        _assert_same_spectrum(_eigenvalues(pair.X1, pair.X2, 3), exact_dmd(pair, r=3).eigenvalues)
+
+    def test_rank_deficient_slice_rejected(self):
+        rng = np.random.default_rng(5)
+        stack = rng.standard_normal((3, 4, 9))
+        stack[1] = np.outer(rng.standard_normal(4), rng.standard_normal(9))  # rank 1
+        with pytest.raises(RankTooHigh):
+            _eigenvalues(stack[..., :-1], stack[..., 1:], 2)
+        assert _eigenvalues(stack[..., :-1], stack[..., 1:], 1).shape == (3, 1)
+
+    @pytest.mark.filterwarnings("error")
+    def test_subnormal_slice_rejected(self):
+        X1 = np.array([[[1.0, 2.0]], [[5e-324, 0.0]], [[3.0, 1.0]]])
+        with pytest.raises(InvalidInput, match="too small to invert"):
+            _eigenvalues(X1, np.ones_like(X1), 1)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_slice_rejected(self):
+        X1 = np.array([[[1.0, 2.0]], [[1e-300, 0.0]], [[3.0, 1.0]]])
+        X2 = np.array([[[1.0, 2.0]], [[1e10, 0.0]], [[3.0, 1.0]]])
+        with pytest.raises(InvalidInput, match="overflows"):
+            _eigenvalues(X1, X2, 1)
+        assert np.allclose(_eigenvalues(X1[[0, 2]], X2[[0, 2]], 1), 1.0)
+
+    def test_stack_needs_rank(self):
+        with pytest.raises(InvalidInput, match="explicit rank"):
+            _eigenvalues(np.ones((2, 3, 4)), np.ones((2, 3, 4)), None)
 
 
 class TestAffineDmdDirect:
