@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .dmd import DmdModel, _eigenvalues, split_snapshots
 from .exceptions import InvalidInput
@@ -81,6 +80,10 @@ def _nearest_truth_distances(est, truth, exclude_near_unity: bool = False) -> np
 
 def match_spectra(a, b) -> float:
     """Minimum total |a_i - b_j| over bipartite matchings of two spectra."""
+    # SciPy is imported here, not at module level: no fit or CLI decomposition
+    # needs it, and importing scipy.optimize dominates the cold start.
+    from scipy.optimize import linear_sum_assignment
+
     a = np.atleast_1d(np.asarray(a, dtype=complex))
     b = np.atleast_1d(np.asarray(b, dtype=complex))
     if a.size != b.size:

@@ -58,12 +58,24 @@ def load_matrix(path) -> np.ndarray:
 
 
 def save_matrix(M, path) -> None:
-    """Write a real matrix in the ``rows cols`` header text format."""
-    M = np.atleast_2d(np.asarray(M, dtype=float))
+    """Write a real matrix in the ``rows cols`` header text format.
+
+    A complex matrix is written as its real part when every imaginary part is
+    zero; any nonzero imaginary part raises ``InvalidInput``, and so does an
+    array of more than two dimensions.
+    """
+    M = np.atleast_2d(np.asarray(M))
+    if M.ndim != 2:
+        raise InvalidInput(f"cannot write a {M.ndim}-dimensional array as a matrix")
+    if np.iscomplexobj(M):
+        if np.any(M.imag != 0):
+            raise InvalidInput("cannot write a matrix with nonzero imaginary parts as real text")
+        M = M.real
+    M = M.astype(float, copy=False)
+    row_fmt = " ".join(["%.17g"] * M.shape[1]) + "\n"
     with open(path, "w") as f:
         f.write(f"{M.shape[0]} {M.shape[1]}\n")
-        for row in M:
-            f.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+        f.writelines(row_fmt % tuple(row) for row in M.tolist())
 
 
 def _complex_list(values) -> list:

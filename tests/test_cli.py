@@ -1,11 +1,16 @@
 """Tests for the command-line interface and the experiment runner."""
 
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cdmd import ExperimentConfig, ParseError, run_experiment
+from cdmd import ExperimentConfig, InvalidInput, ParseError, run_experiment
 from cdmd.cli import load_matrix, main, save_matrix
 
 
@@ -48,6 +53,49 @@ class TestMatrixIO:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError):
             load_matrix(tmp_path / "nope.txt")
+
+    def test_non_numeric_entry(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("2 2\n1 2\n3 x\n")
+        with pytest.raises(ParseError, match="row 2"):
+            load_matrix(path)
+
+    def test_golden_bytes_special_values(self, tmp_path):
+        path = tmp_path / "special.txt"
+        save_matrix([[np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e308, 1 / 3, 1.2345678901234568e17]], path)
+        assert path.read_text() == (
+            "1 8\n"
+            "nan inf -inf -0 4.9406564584124654e-324 1e+308 0.33333333333333331 1.2345678901234568e+17\n"
+        )
+
+    def test_complex_with_imaginary_part_rejected(self, tmp_path):
+        path = tmp_path / "c.txt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput):
+                save_matrix(np.array([[1 + 2j, 3]]), path)
+        assert not path.exists()
+
+    def test_three_dimensional_array_rejected(self, tmp_path):
+        path = tmp_path / "t.txt"
+        with pytest.raises(InvalidInput):
+            save_matrix(np.zeros((2, 2, 2)), path)
+        assert not path.exists()
+
+    def test_complex_with_zero_imaginary_part_written_as_real(self, tmp_path):
+        path = tmp_path / "c.txt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            save_matrix(np.array([[1 + 0j, -2.5], [0.25, 3]]), path)
+        assert path.read_text() == "2 2\n1 -2.5\n0.25 3\n"
+
+
+def test_import_leaves_scipy_unloaded():
+    # SciPy is needed only by match_spectra; importing the package and the CLI
+    # must not pay for it.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    code = "import sys, cdmd, cdmd.cli; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
 class TestSubcommands:

@@ -164,6 +164,51 @@ class TestLorenzRk4:
             lorenz_rk4(LorenzParams(dt=1.0, steps=100))
 
 
+def _vector_lorenz_rk4(params):
+    """Reference RK4 over NumPy 3-vectors, the integrator's earlier form."""
+
+    def rhs(x):
+        return np.array([
+            params.sigma * (x[1] - x[0]),
+            x[0] * (params.rho - x[2]) - x[1],
+            x[0] * x[1] - params.beta * x[2],
+        ])
+
+    dt = params.dt
+    X = np.empty((3, params.steps))
+    X[:, 0] = params.x0
+    x = params.x0.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, params.steps):
+            k1 = rhs(x)
+            k2 = rhs(x + 0.5 * dt * k1)
+            k3 = rhs(x + 0.5 * dt * k2)
+            k4 = rhs(x + dt * k3)
+            x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            if not np.all(np.isfinite(x)):
+                raise IntegrationOverflow(f"non-finite state at step {k}")
+            X[:, k] = x
+    return X
+
+
+class TestLorenzRk4AgainstVectorReference:
+    @pytest.mark.parametrize(
+        "params",
+        [LorenzParams(), LorenzParams(dt=1e-2, steps=3000), LorenzParams(dt=1e-5, steps=10001)],
+        ids=["default", "dt1e-2", "dt1e-5"],
+    )
+    def test_bitwise_equal(self, params):
+        assert np.array_equal(lorenz_rk4(params), _vector_lorenz_rk4(params))
+
+    def test_overflow_at_same_step(self):
+        params = LorenzParams(dt=1.0, steps=100)
+        with pytest.raises(IntegrationOverflow) as ref:
+            _vector_lorenz_rk4(params)
+        with pytest.raises(IntegrationOverflow) as got:
+            lorenz_rk4(params)
+        assert str(got.value) == str(ref.value)
+
+
 class TestSynthVideo:
     def test_static_background_rank_one(self):
         X = synth_video(8, 8, 10, moving=False)
