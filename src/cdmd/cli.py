@@ -25,7 +25,12 @@ from .linalg import EXACT_TOL
 
 
 def load_matrix(path) -> np.ndarray:
-    """Read a matrix from a text file with a ``rows cols`` header line."""
+    """Read a matrix from a text file with a ``rows cols`` header line.
+
+    Entries are parsed by ``np.loadtxt``: decimal and exponent notation,
+    ``inf`` and ``nan``. Tokens only Python's ``float`` accepts, such as
+    ``1_0`` or non-ASCII digits, raise ``ParseError``.
+    """
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -45,16 +50,26 @@ def load_matrix(path) -> np.ndarray:
     body = lines[1:]
     if len(body) != rows:
         raise ParseError(f"{path}: header promises {rows} rows but file has {len(body)}")
-    data = np.empty((rows, cols))
+    try:
+        data = np.loadtxt(body, dtype=float, comments=None, ndmin=2)
+    except ValueError:
+        data = None
+    if data is None or data.shape != (rows, cols):
+        _raise_row_error(path, body, cols)
+    return data
+
+
+def _raise_row_error(path, body, cols):
+    """Re-scan a body that failed to parse as a whole and name its first bad row."""
     for i, line in enumerate(body):
         fields = line.split()
         if len(fields) != cols:
             raise ParseError(f"{path}: row {i + 1} has {len(fields)} entries, expected {cols}")
         try:
-            data[i] = [float(v) for v in fields]
+            np.loadtxt([line], dtype=float, comments=None)
         except ValueError as exc:
             raise ParseError(f"{path}: row {i + 1} contains a non-numeric entry") from exc
-    return data
+    raise ParseError(f"{path}: the matrix body does not parse as {len(body)} x {cols} numbers")
 
 
 def save_matrix(M, path) -> None:

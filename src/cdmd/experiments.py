@@ -25,6 +25,7 @@ from .analysis import (
 )
 from .dmd import (
     _eigenvalues,
+    _frequency_basis,
     canonicalize_mode,
     centered_dmd,
     companion_dmd,
@@ -34,7 +35,7 @@ from .dmd import (
     split_snapshots,
 )
 from .exceptions import InvalidInput
-from .linalg import effective_rank, pinv, vandermonde
+from .linalg import effective_rank, pinv
 from .synth import (
     LorenzParams,
     NoiseSpec,
@@ -343,8 +344,8 @@ def _run_fig8(seed, params, out_dir, rec):
     before = exact_dmd(pair, r=8)
     sub = frequency_subtracted_dmd(pair, lam_pair, r=6)
 
-    Lt = vandermonde(lam_pair, pair.T).T
-    X1p = pair.X1 - (pair.X1 @ pinv(Lt)) @ Lt
+    Q, Qh, _ = _frequency_basis(lam_pair, pair.T, np.isrealobj(pair.X1))
+    X1p = pair.X1 - (pair.X1 @ Q) @ Qh
     spec_before = dft_power_spectrum(pair.X1, fs)
     spec_after = dft_power_spectrum(np.real(X1p), fs)
     i60 = int(np.argmin(np.abs(spec_before.frequencies - f0)))

@@ -144,8 +144,8 @@ def centered_pinv_update(X1, rel_tol: float = EXACT_TOL) -> np.ndarray:
         raise InvalidInput("X1 must have at least 2 columns")
     P = pinv(X1, rel_tol)
     ones = np.ones(T)
-    # m = (I - X1^+ X1)^T 1; zero iff 1 is in the row space of X1.
-    m = ones - (P @ X1).conj().T @ ones
+    # m = (I - X1^+ X1)^H 1, zero iff 1 is in the row space of X1; no T x T product.
+    m = ones - X1.conj().T @ (P.conj().T @ ones)
     if np.linalg.norm(m, np.inf) < 1e-8 * np.sqrt(T):
         nvec = P.conj().T @ ones
         nn = nvec.conj() @ nvec

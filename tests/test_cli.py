@@ -12,6 +12,7 @@ import pytest
 
 from cdmd import ExperimentConfig, InvalidInput, ParseError, run_experiment
 from cdmd.cli import load_matrix, main, save_matrix
+from cdmd.dmd import COMPANION_MAX_T
 
 
 @pytest.fixture
@@ -59,6 +60,21 @@ class TestMatrixIO:
         path.write_text("2 2\n1 2\n3 x\n")
         with pytest.raises(ParseError, match="row 2"):
             load_matrix(path)
+
+    @pytest.mark.parametrize("token", ["1_0", "\uff11"], ids=["underscore", "fullwidth_digit"])
+    def test_python_only_float_syntax_rejected(self, tmp_path, token):
+        # float() accepts these; the matrix format takes only what np.loadtxt parses.
+        path = tmp_path / "bad.txt"
+        path.write_text(f"2 2\n1 2\n3 {token}\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="row 2"):
+            load_matrix(path)
+
+    def test_special_values_parse(self, tmp_path):
+        path = tmp_path / "special.txt"
+        path.write_text("1 6\nnan inf -inf -0 1e-400 .5\n")
+        got = load_matrix(path)
+        assert got.shape == (1, 6)
+        assert np.isnan(got[0, 0]) and np.array_equal(got[0, 1:], [np.inf, -np.inf, 0.0, 0.0, 0.5])
 
     def test_golden_bytes_special_values(self, tmp_path):
         path = tmp_path / "special.txt"
@@ -128,6 +144,12 @@ class TestSubcommands:
         res = json.loads(out.read_text())
         eigs = sorted(e["re"] for e in res["eigenvalues"])
         assert np.allclose(eigs, [2.0, 3.0], atol=1e-8)
+
+    def test_companion_size_guard_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "long.txt"
+        save_matrix(np.random.default_rng(0).standard_normal((1, COMPANION_MAX_T + 2)), path)
+        assert main(["companion", "--input", str(path)]) == 1
+        assert f"at most {COMPANION_MAX_T} snapshot pairs" in capsys.readouterr().err
 
     def test_invalid_rank_exits_one(self, golden_file, capsys):
         assert main(["dmd", "--input", str(golden_file), "--rank", "99"]) == 1

@@ -1,5 +1,7 @@
 """Tests for the decomposition variants and diagnostics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,8 @@ from cdmd import (
     well_posed_initial_state,
 )
 from cdmd.analysis import _cell_seed
-from cdmd.dmd import SnapshotPair, _eigenvalues, canonicalize_mode
+from cdmd.dmd import COMPANION_MAX_T, TALL_FACTOR, SnapshotPair, _eigenvalues, canonicalize_mode
+from cdmd.linalg import pinv
 from cdmd.synth import LinearSystemSpec
 
 
@@ -54,6 +57,56 @@ class TestSplitSnapshots:
     def test_too_few_columns(self):
         with pytest.raises(InvalidInput):
             split_snapshots(np.array([[1.0]]))
+
+
+def _svd_shapes(monkeypatch, fit, pair):
+    """Shapes of the matrices ``fit(pair)`` passes to ``numpy.linalg.svd``."""
+    shapes = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    fit(pair)
+    return shapes
+
+
+FITS = {
+    "exact": exact_dmd,
+    "centered": centered_dmd,
+    "freq_subtracted": lambda pair: frequency_subtracted_dmd(pair, [np.exp(0.7j), np.exp(-0.7j)]),
+}
+
+
+class TestCoordinateStep:
+    """A tall shifted trajectory is fitted on the R factor of ``[X1, x_T]``; any other pair on itself."""
+
+    @pytest.mark.parametrize("fit", FITS)
+    def test_tall_shifted_fit_svds_r_factor(self, monkeypatch, fit):
+        pair = split_snapshots(np.random.default_rng(0).standard_normal((60, 10)))
+        assert pair.n >= TALL_FACTOR * (pair.T + 1)
+        shapes = _svd_shapes(monkeypatch, FITS[fit], pair)
+        assert (pair.T + 1, pair.T) in shapes
+        assert all(shape[0] != pair.n for shape in shapes)
+
+    @pytest.mark.parametrize("fit", FITS)
+    def test_tall_unshifted_pair_svds_data(self, monkeypatch, fit):
+        rng = np.random.default_rng(1)
+        pair = SnapshotPair(rng.standard_normal((60, 9)), rng.standard_normal((60, 9)))
+        assert (pair.n, pair.T) in _svd_shapes(monkeypatch, FITS[fit], pair)
+
+    @pytest.mark.parametrize("fit", FITS)
+    def test_wide_pair_svds_data(self, monkeypatch, fit):
+        pair = split_snapshots(np.random.default_rng(2).standard_normal((4, 30)))
+        assert (pair.n, pair.T) in _svd_shapes(monkeypatch, FITS[fit], pair)
+
+    @pytest.mark.filterwarnings("error")
+    def test_nonfinite_coordinates_rejected(self):
+        # Every entry is finite, but the column norms overflow in the QR.
+        with pytest.raises(InvalidInput, match="non-finite"):
+            exact_dmd(split_snapshots(np.full((40, 4), 1e308)))
 
 
 class TestCanonicalizeMode:
@@ -193,6 +246,15 @@ class TestCenteredDmd:
         with pytest.raises(InvalidInput, match="overflows"):
             centered_dmd(SnapshotPair([[1e-300, 0.0]], [[1e10, 0.0]]))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [1, 40])
+    def test_nonfinite_centered_data_rejected(self, n):
+        # Finite data whose column means overflow (n = 1, fitted on itself)
+        # or whose QR coordinates do (n = 40, a tall trajectory).
+        X = np.tile([1.5e308, 1.7e308, 1.6e308, 1.4e308], (n, 1))
+        with pytest.raises(InvalidInput, match="non-finite"):
+            centered_dmd(split_snapshots(X))
+
     def test_256x256_video_fixed_point_is_background(self):
         # n = 65536: a dense n x n operator alone would take 34 GB.
         pair = split_snapshots(synth_video(256, 256, 48, seed=0))
@@ -306,6 +368,11 @@ class TestCompanionDmd:
         assert C[1, 0] == 1.0
         assert np.allclose(C[:, -1], model.c_coeffs)
 
+    def test_size_guard(self):
+        X = np.random.default_rng(48).standard_normal((2, COMPANION_MAX_T + 2))
+        with pytest.raises(InvalidInput, match=f"at most {COMPANION_MAX_T} snapshot pairs"):
+            companion_dmd(X)
+
     def test_matches_dmd_on_full_column_rank_data(self):
         spec = random_linear_system(8, 5, seed=41)
         X = simulate(spec, well_posed_initial_state(spec, seed=42), 5)
@@ -404,6 +471,26 @@ class TestConsistencyResidual:
     def test_golden_affine_positive(self):
         _, X = golden_affine_trajectory()
         assert consistency_residual(split_snapshots(X)) > 1e-3
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_pinv_formula(self, seed):
+        rng = np.random.default_rng(seed)
+        n, k = int(rng.integers(2, 12)), int(rng.integers(1, 6))
+        X = rng.standard_normal((n, k)) @ rng.standard_normal((k, int(rng.integers(k + 4, 30)))) + rng.standard_normal((n, 1))
+        pair = split_snapshots(X)
+        old = np.linalg.norm(pair.X2 - pair.X2 @ (pinv(pair.X1) @ pair.X1))
+        assert old > 1e-3 * np.linalg.norm(pair.X2)
+        assert abs(consistency_residual(pair) - old) <= 1e-12 * old
+
+    def test_no_t_by_t_allocation(self):
+        pair = split_snapshots(np.random.default_rng(65).standard_normal((64, 5000)))
+        tracemalloc.start()
+        try:
+            consistency_residual(pair)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * pair.X1.nbytes  # a 5000 x 5000 product alone is 78 x the input
 
     def test_low_rank_affine_consistent(self):
         # Low-rank system with the fixed point outside the eigenvector span:

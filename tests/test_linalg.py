@@ -1,5 +1,7 @@
 """Tests for the dense linear-algebra substrate."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,33 @@ class TestCenteredPinvUpdate:
     def test_single_column_rejected(self):
         with pytest.raises(InvalidInput):
             centered_pinv_update(np.array([[1.0], [2.0]]))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_t_by_t_formula(self, seed):
+        # The closed form with m = (I - X1^+ X1)^H 1 built from the T x T product.
+        rng = np.random.default_rng(seed)
+        m, T = int(rng.integers(2, 8)), int(rng.integers(3, 12))
+        X1 = rng.standard_normal((m, T))
+        if seed % 2 == 0:  # ones in the row space: branch 1
+            X1 = X1 - X1.mean(axis=1, keepdims=True) + np.outer(rng.standard_normal(m), np.ones(T))
+        P, ones = pinv(X1), np.ones(T)
+        mvec = ones - (P @ X1).conj().T @ ones
+        if np.linalg.norm(mvec, np.inf) < 1e-8 * np.sqrt(T):
+            nvec = P.conj().T @ ones
+            expected = P - np.outer(P @ nvec, nvec.conj()) / (nvec.conj() @ nvec)
+        else:
+            expected = P - np.outer(mvec, ones @ P) / (ones @ mvec)
+        assert np.linalg.norm(centered_pinv_update(X1) - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_no_t_by_t_allocation(self):
+        X1 = np.random.default_rng(7).standard_normal((64, 5000))
+        tracemalloc.start()
+        try:
+            centered_pinv_update(X1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * X1.nbytes  # a 5000 x 5000 product alone is 78 x the input
 
 
 class TestUnitEigenvalueCertificate:

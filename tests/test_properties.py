@@ -24,7 +24,7 @@ from cdmd import (
     split_snapshots,
     well_posed_initial_state,
 )
-from cdmd.dmd import SnapshotPair
+from cdmd.dmd import TALL_FACTOR, SnapshotPair
 from cdmd.linalg import (
     EXACT_TOL,
     centered_pinv_update,
@@ -288,13 +288,15 @@ class TestSnapshotPairValidation:
 def _regime_data(regime, seed):
     """Offset Gaussian data, n x (T+1), in one of three shape regimes, plus a rank to fit at.
 
-    ``tall`` has n >> T, ``wide`` has T >> n, and ``rank_deficient`` has rank
-    k < min(n, T) and is fitted at its numerical rank (``None``); the other
-    two are fitted at a drawn truncation rank.
+    ``tall`` has n >> T (a shifted trajectory with ``n >= TALL_FACTOR * (T + 1)``,
+    which the fits take in R-factor coordinates), ``wide`` has T >> n, and
+    ``rank_deficient`` has rank k < min(n, T) and is fitted at its numerical
+    rank (``None``); the other two are fitted at a drawn truncation rank.
     """
     rng = np.random.default_rng(seed)
     if regime == "tall":
         n, T = int(rng.integers(20, 61)), int(rng.integers(3, 9))
+        assert n >= TALL_FACTOR * (T + 1)
     elif regime == "wide":
         n, T = int(rng.integers(2, 7)), int(rng.integers(20, 81))
     else:
@@ -320,7 +322,30 @@ def _dense_operator(Y1, Y2, r):
     return A, np.linalg.cond(np.eye(r) - U.conj().T @ A @ U)
 
 
+def _assert_amplitudes_fit(model, x0):
+    """``modes @ amplitudes`` is the least-squares projection of ``x0`` on the nonzero modes."""
+    M = model.modes[:, np.linalg.norm(model.modes, axis=0) > 0]
+    projection = M @ np.linalg.lstsq(M, x0, rcond=None)[0]
+    assert np.linalg.norm(model.modes @ model.amplitudes - projection) <= 1e-13 * np.linalg.cond(M) * np.linalg.norm(x0)
+
+
 REGIMES = st.sampled_from(["tall", "wide", "rank_deficient"])
+
+
+def _exactly_centered_data(seed, tall, offset):
+    """Integer fluctuations ``F`` whose two snapshot blocks have zero row sums, on a per-row offset.
+
+    Offsets are ``offset`` times integers 1..7 and ``offset`` is a power of 2,
+    so every sum, mean and difference of explicit centering is exact in
+    float64: ``X1 - mu1 1^T`` is ``F[:, :-1]`` and ``X2 - mu2 1^T`` is ``F[:, 1:]``.
+    """
+    rng = np.random.default_rng(seed)
+    n, T = (int(rng.integers(20, 61)), int(rng.integers(3, 9))) if tall else (int(rng.integers(2, 7)), int(rng.integers(20, 81)))
+    G = rng.integers(-512, 512, size=(n, T - 1)).astype(float)
+    edge = -G.sum(axis=1)
+    F = np.column_stack([edge, G, edge])
+    X = F + offset * rng.integers(1, 8, size=(n, 1))
+    return X, F, int(rng.integers(1, min(n, T)))
 
 
 class TestReducedAgainstDenseOperator:
@@ -339,10 +364,30 @@ class TestReducedAgainstDenseOperator:
         bias = mu2 - Abar @ mu1
         scale = 1.0 + np.linalg.norm(Abar)
         assert np.linalg.norm(cen.bias - bias) <= 1e-13 * scale * (np.linalg.norm(mu2) + np.linalg.norm(mu1))
+        _assert_amplitudes_fit(cen.base, Xb1[:, 0])
         if cen.fixed_point is None:
             return
         fixed_point = np.linalg.solve(np.eye(pair.n) - Abar, bias)
         assert np.linalg.norm(cen.fixed_point - fixed_point) <= 1e-13 * cond * scale * np.linalg.norm(fixed_point)
+
+    @pytest.mark.parametrize("tall", [True, False], ids=["tall", "wide"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_centered_offset_much_larger_than_fluctuations(self, tall, seed):
+        # Offsets about 1e6 times the fluctuations: the centered fit must lose no
+        # more accuracy than explicit centering, which is exact on this data.
+        X, F, r = _exactly_centered_data(seed, tall, 2.0**30)
+        pair = split_snapshots(X)
+        assert (pair.n >= TALL_FACTOR * (pair.T + 1)) == tall
+        cen = centered_dmd(pair, r=r)
+        mu1, mu2 = pair.X1.mean(axis=1), pair.X2.mean(axis=1)
+        assert np.array_equal(pair.X1 - mu1[:, None], F[:, :-1]) and np.array_equal(pair.X2 - mu2[:, None], F[:, 1:])
+        Abar, cond = _dense_operator(F[:, :-1], F[:, 1:], r)
+        bias = mu2 - Abar @ mu1
+        scale = 1.0 + np.linalg.norm(Abar)
+        assert np.linalg.norm(cen.bias - bias) <= 1e-13 * scale * (np.linalg.norm(mu2) + np.linalg.norm(mu1))
+        if cen.fixed_point is not None:
+            fixed_point = np.linalg.solve(np.eye(pair.n) - Abar, bias)
+            assert np.linalg.norm(cen.fixed_point - fixed_point) <= 1e-13 * cond * scale * np.linalg.norm(fixed_point)
 
     @given(REGIMES, st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -364,3 +409,35 @@ class TestReducedAgainstDenseOperator:
         B = (pair.X2 - Ap @ pair.X1) @ Lt_pinv
         scale = (np.linalg.norm(pair.X2) + np.linalg.norm(Ap) * np.linalg.norm(pair.X1)) * np.linalg.norm(Lt_pinv)
         assert np.linalg.norm(sub.B - B) <= 1e-13 * scale
+        _assert_amplitudes_fit(sub.base, X1p[:, 0])
+
+    @given(REGIMES, st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_real_basis_matches_complex_projector(self, regime, seed):
+        # Real data and a conjugate pair take the real basis; the same data
+        # held as complex take the complex projector X - (X Lt^+) Lt.
+        X, r = _regime_data(regime, seed)
+        pair = split_snapshots(X)
+        if pair.T < 4:
+            return
+        lam = np.exp(2j * np.pi * np.random.default_rng(seed).uniform(0.05, 0.45))
+        lams = [lam, np.conj(lam)]
+        if r is not None:
+            r = min(r, pair.T - 2)
+        real = frequency_subtracted_dmd(pair, lams, r=r)
+        cplx = frequency_subtracted_dmd(split_snapshots(X.astype(complex)), lams, r=r)
+        r = real.base.rank_used
+        assert cplx.base.rank_used == r
+
+        Lt = vandermonde(lams, pair.T).T
+        Lt_pinv = pinv(Lt)
+        X1p = pair.X1 - (pair.X1 @ Lt_pinv) @ Lt
+        X2p = pair.X2 - (pair.X2 @ Lt_pinv) @ Lt
+        Ap, _ = _dense_operator(X1p, X2p, r)
+        scale = (np.linalg.norm(pair.X2) + np.linalg.norm(Ap) * np.linalg.norm(pair.X1)) * np.linalg.norm(Lt_pinv)
+        assert np.linalg.norm(real.B - cplx.B) <= 1e-13 * scale
+        # Eigenvalues move by at most cond(eigenvectors) * ||perturbation|| (Bauer-Fike).
+        U = np.linalg.svd(X1p, full_matrices=False)[0][:, :r]
+        Atilde = U.conj().T @ Ap @ U
+        kappa = np.linalg.cond(np.linalg.eig(Atilde)[1])
+        assert match_spectra(real.base.eigenvalues, cplx.base.eigenvalues) <= 1e-13 * r * kappa * np.linalg.norm(Ap)
