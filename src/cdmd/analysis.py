@@ -79,18 +79,61 @@ def _nearest_truth_distances(est, truth, exclude_near_unity: bool = False) -> np
 
 
 def match_spectra(a, b) -> float:
-    """Minimum total |a_i - b_j| over bipartite matchings of two spectra."""
-    # SciPy is imported here, not at module level: no fit or CLI decomposition
-    # needs it, and importing scipy.optimize dominates the cold start.
-    from scipy.optimize import linear_sum_assignment
+    """Minimum total |a_i - b_j| over bipartite matchings of two spectra.
 
+    Raises InvalidInput for spectra of unequal length, or with a non-finite
+    entry or distance.
+    """
     a = np.atleast_1d(np.asarray(a, dtype=complex))
     b = np.atleast_1d(np.asarray(b, dtype=complex))
     if a.size != b.size:
         raise InvalidInput(f"spectra must have equal length, got {a.size} vs {b.size}")
-    cost = np.abs(a[:, None] - b[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        cost = np.abs(a[:, None] - b[None, :])
+    if not np.all(np.isfinite(cost)):
+        raise InvalidInput("spectra must be finite, with finite distances between them")
+    return float(cost[np.arange(a.size), _min_cost_assignment(cost)].sum())
+
+
+def _min_cost_assignment(cost) -> np.ndarray:
+    """Column assigned to each row of a square cost matrix, at minimum total cost.
+
+    The Hungarian method (Kuhn 1955) in its shortest-augmenting-path form
+    (Jonker & Volgenant 1987), O(k^3): rows join one at a time; each grows a
+    Dijkstra tree over the columns on reduced costs ``cost - u - v`` until it
+    reaches a free column, updating the row potentials ``u`` and the column
+    potentials ``v`` so reduced costs stay nonnegative and are zero on the
+    matching, then flips the path. Column ``k`` is the virtual root of a tree.
+    """
+    k = cost.shape[0]
+    u = np.zeros(k)
+    v = np.zeros(k + 1)
+    row_of = np.full(k + 1, -1)  # row matched to each column, -1 while free
+    for i in range(k):
+        row_of[k], j = i, k
+        way = np.full(k, k)  # previous column on the shortest path to each column
+        dist = np.full(k, np.inf)
+        used = np.zeros(k + 1, dtype=bool)
+        while row_of[j] != -1:
+            used[j] = True
+            row = row_of[j]
+            free = ~used[:k]
+            reduced = cost[row] - u[row] - v[:k]
+            closer = free & (reduced < dist)
+            dist[closer] = reduced[closer]
+            way[closer] = j
+            nxt = int(np.argmin(np.where(free, dist, np.inf)))
+            delta = dist[nxt]
+            u[row_of[used]] += delta
+            v[used] -= delta
+            dist -= delta  # only free columns' entries are read again
+            j = nxt
+        while j != k:
+            row_of[j] = row_of[way[j]]
+            j = way[j]
+    cols = np.empty(k, dtype=int)
+    cols[row_of[:k]] = np.arange(k)
+    return cols
 
 
 def _cell_seed(base_seed: int, i: int, j: int) -> int:

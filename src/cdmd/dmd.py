@@ -158,18 +158,19 @@ def _coordinates(X1, X2, shift=None):
     (``X2[:, :-1]`` equals ``X1[:, 1:]`` and ``n >= TALL_FACTOR * (T + 1)``)
     share T - 1 columns, so one Householder QR of ``[Y1, y_T, s]`` gives
     (T+1)-row coordinates of both blocks and of ``s`` projected on their span,
-    and ``Q`` is never formed. Any other pair is its own coordinates
-    (``Q = I``). A fit needs ``U_r^H`` only on vectors in the range of the
-    data, where it equals ``u_r^H Q^H`` with ``u_r`` from the SVD of ``C1``.
-    A shift near the column means makes the QR's rounding relative to the
-    fluctuations rather than to the offset.
+    and ``Q`` is never formed. Any other pair, and (R, n, T) stacks of pairs
+    (``shift`` then (R, n)), are their own coordinates (``Q = I``). A fit
+    needs ``U_r^H`` only on vectors in the range of the data, where it equals
+    ``u_r^H Q^H`` with ``u_r`` from the SVD of ``C1``. A shift near the
+    column means makes the QR's rounding relative to the fluctuations rather
+    than to the offset.
     """
-    n, T = X1.shape
-    if n < TALL_FACTOR * (T + 1) or not np.array_equal(X2[:, :-1], X1[:, 1:]):
+    n, T = X1.shape[-2:]
+    if X1.ndim > 2 or n < TALL_FACTOR * (T + 1) or not np.array_equal(X2[:, :-1], X1[:, 1:]):
         if shift is None:
             return X1, X2, None, X2
-        Y2 = X2 - shift[:, None]
-        return X1 - shift[:, None], Y2, shift, Y2
+        Y2 = X2 - shift[..., None]
+        return X1 - shift[..., None], Y2, shift, Y2
     if shift is None:
         Y = np.column_stack([X1, X2[:, -1]])
     else:
@@ -180,6 +181,21 @@ def _coordinates(X1, X2, shift=None):
         raise InvalidInput("the snapshot matrices are too large: their QR coordinates are non-finite")
     cs = None if shift is None else R[:, -1]
     return R[:, :T], R[:, 1 : T + 1], cs, (X2 if shift is None else Y[:, 1 : T + 1])
+
+
+def _centered_coordinates(X1, X2, mu1):
+    """Coordinates of a pair shifted by ``mu1``, the column mean of ``X1``, then centered by their row means.
+
+    With ``Y = X - mu1 1^T = Q C`` (see ``_coordinates``) and ``d`` the row
+    means of ``C``, returns ``Cb1``, ``Cb2`` (``Cb = C - d 1^T``), ``c1``,
+    ``c2`` (``c = d + Q^H mu1``, the coordinates of the column means of
+    ``X``) and ``Y2``. ``Y = X - mu1 1^T`` is exact for entries near the
+    mean, so an offset much larger than the fluctuations costs no accuracy.
+    Takes one pair or (R, n, T) stacks, with ``mu1`` then (R, n).
+    """
+    C1, C2, cmu, Y2 = _coordinates(X1, X2, shift=mu1)
+    d1, d2 = C1.mean(axis=-1), C2.mean(axis=-1)
+    return C1 - d1[..., None], C2 - d2[..., None], d1 + cmu, d2 + cmu, Y2
 
 
 def _reduce(C1, C2, r: int | None, rel_tol: float):
@@ -244,18 +260,16 @@ def _eigenvalues(X1, X2, r: int, centered: bool = False) -> np.ndarray:
     """Eigenvalues of the rank-``r`` DMD operator, without modes or amplitudes.
 
     ``X1`` and ``X2`` are one n x T pair or (R, n, T) stacks of pairs; with
-    ``centered`` each pair is centered by its column means first, as in
-    ``centered_dmd``. Returns ``eigvals(Atilde)`` in LAPACK order, shape (r,)
-    or (R, r): up to order and rounding, the ``eigenvalues`` of ``exact_dmd``
-    or of ``centered_dmd(...).base`` at the same rank.
+    ``centered`` each pair takes the centered coordinates of ``centered_dmd``.
+    Returns ``eigvals(Atilde)`` in LAPACK order, shape (r,) or (R, r): up to
+    order, the ``eigenvalues`` of ``exact_dmd`` or of
+    ``centered_dmd(...).base`` at the same rank.
     """
     if centered:
-        # As in centered_dmd: shift both blocks by the mean of X1, then center each.
-        mu1 = X1.mean(axis=-1, keepdims=True)
-        X1, X2 = X1 - mu1, X2 - mu1
-        X1 = X1 - X1.mean(axis=-1, keepdims=True)
-        X2 = X2 - X2.mean(axis=-1, keepdims=True)
-    return np.linalg.eigvals(_reduce(X1, X2, r, EXACT_TOL)[2])
+        C1, C2 = _centered_coordinates(X1, X2, X1.mean(axis=-1))[:2]
+    else:
+        C1, C2 = _coordinates(X1, X2)[:2]
+    return np.linalg.eigvals(_reduce(C1, C2, r, EXACT_TOL)[2])
 
 
 def exact_dmd(pair: SnapshotPair, r: int | None = None, rel_tol: float = EXACT_TOL) -> DmdModel:
@@ -277,12 +291,10 @@ def centered_dmd(
 ) -> CenteredDmdModel:
     """DMD on column-centered snapshots, with the equivalent affine term.
 
-    Shifts both blocks by ``mu1``, the column mean of ``X1`` (``Y = X - mu1
-    1^T`` is exact for entries near the mean, so an offset much larger than
-    the fluctuations costs no accuracy), takes their coordinates ``C`` with
-    ``Y = Q C`` (see ``_coordinates``) and fits exact DMD on ``Cb = C - d
-    1^T``, ``C`` centered by its row means ``d``. The coordinates of the means
-    are ``c = d + Q^H mu1``. The operator is ``Z U_r^H`` with ``Z = Y2 W``
+    Fits exact DMD on the centered coordinates ``Cb`` of the pair shifted by
+    ``mu1``, the column mean of ``X1`` (see ``_centered_coordinates``, which
+    also gives ``c``, the coordinates of the column means, and ``Y2 = X2 -
+    mu1 1^T``). The operator is ``Z U_r^H`` with ``Z = Y2 W``
     (``W = V_r Sigma_r^-1`` is orthogonal to the ones vector, so this is the
     centered ``Xb2 W``) and ``Atilde = u_r^H Cb2 W``; the bias is
     ``mu2 - Z (u_r^H c1)``. When no eigenvalue lies within ``unit_tol`` of 1,
@@ -293,17 +305,15 @@ def centered_dmd(
         raise InvalidInput("centered DMD needs at least 2 snapshot columns")
     with np.errstate(over="ignore", invalid="ignore"):
         mu1, mu2 = pair.X1.mean(axis=1), pair.X2.mean(axis=1)
-        C1, C2, cmu, Y2 = _coordinates(pair.X1, pair.X2, shift=mu1)
-        d1, d2 = C1.mean(axis=1), C2.mean(axis=1)
-        Cb1, Cb2 = C1 - d1[:, None], C2 - d2[:, None]
+        Cb1, Cb2, c1, c2, Y2 = _centered_coordinates(pair.X1, pair.X2, mu1)
     if not all(np.all(np.isfinite(M)) for M in (mu1, mu2, Cb1, Cb2)):
         raise InvalidInput("centered snapshot matrices contain non-finite entries")
     base, u, Z, Atilde = _svd_fit(Cb1, Cb2, lambda W: Y2 @ W, pair.X1[:, 0] - mu1, r, rel_tol, "centered")
-    uc1 = u.conj().T @ (d1 + cmu)
+    uc1 = u.conj().T @ c1
     bias = mu2 - Z @ uc1
     fixed_point = None
     if np.min(np.abs(base.eigenvalues - 1.0)) > unit_tol:
-        fixed_point = bias + Z @ np.linalg.solve(np.eye(base.rank_used) - Atilde, u.conj().T @ (d2 + cmu) - Atilde @ uc1)
+        fixed_point = bias + Z @ np.linalg.solve(np.eye(base.rank_used) - Atilde, u.conj().T @ c2 - Atilde @ uc1)
     return CenteredDmdModel(base, bias, fixed_point, mu1, mu2)
 
 
@@ -322,6 +332,10 @@ def affine_dmd_direct(pair: SnapshotPair):
     mu2 = pair.X2.mean(axis=1)
     Xb1 = pair.X1 - mu1[:, None]
     Xb2 = pair.X2 - mu2[:, None]
+    # A second pass removes the rounding error of the means, a rank-one term
+    # that the rank cut would otherwise keep when offsets dwarf the data.
+    d1, d2 = Xb1.mean(axis=1), Xb2.mean(axis=1)
+    Xb1, Xb2, mu1, mu2 = Xb1 - d1[:, None], Xb2 - d2[:, None], mu1 + d1, mu2 + d2
     At, *_ = np.linalg.lstsq(Xb1.T, Xb2.T, rcond=EXACT_TOL)
     A = At.T
     return A, mu2 - A @ mu1

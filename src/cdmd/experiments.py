@@ -190,7 +190,7 @@ def _run_fig3(seed, params, out_dir, rec):
     _write_csv(
         out_dir / "fig3_noise.csv",
         ["eta", "median_centered", "median_uncentered"],
-        zip(result.etas, result.median_distance_centered, result.median_distance_uncentered),
+        np.column_stack([result.etas, result.median_distance_centered, result.median_distance_uncentered]).tolist(),
     )
     return {"n": n, "T": T, "r": r, "realizations": realizations}
 
@@ -291,7 +291,7 @@ def _run_fig6(seed, params, out_dir, rec):
     _write_csv(
         out_dir / "fig6_reconstruction.csv",
         ["t", "x", "y", "z", "x_dmd", "y_dmd", "z_dmd", "x_centered", "y_centered", "z_centered"],
-        np.column_stack([t, X.T, np.real(recon_u).T, np.real(recon_c).T]),
+        np.column_stack([t, X.T, np.real(recon_u).T, np.real(recon_c).T]).tolist(),
     )
 
     grow_centered = 0
@@ -364,7 +364,7 @@ def _run_fig8(seed, params, out_dir, rec):
     _write_csv(
         out_dir / "fig8_dft_power.csv",
         ["frequency_hz", "power_before", "power_after"],
-        zip(spec_before.frequencies, spec_before.power, spec_after.power),
+        np.column_stack([spec_before.frequencies, spec_before.power, spec_after.power]).tolist(),
     )
     _write_csv(
         out_dir / "fig8_spectra.csv",

@@ -46,19 +46,21 @@ def _inverse_singular_values(s) -> np.ndarray:
     return inv
 
 
+def _truncated_svd(M, rel_tol: float):
+    """SVD factors ``U, s, Vt`` of ``M`` truncated to the singular values above ``rel_tol * sigma_max``."""
+    if not 0.0 < rel_tol < 1.0:
+        raise InvalidInput(f"rel_tol must lie in (0, 1), got {rel_tol}")
+    U, s, Vt = np.linalg.svd(M, full_matrices=False)
+    keep = s > rel_tol * s[0]
+    return U[:, keep], s[keep], Vt[keep]
+
+
 def pinv(M, rel_tol: float = EXACT_TOL) -> np.ndarray:
     """Moore-Penrose pseudoinverse via SVD.
 
     Singular values below ``rel_tol * sigma_max`` are treated as zero.
     """
-    M = _as_matrix(M)
-    if not 0.0 < rel_tol < 1.0:
-        raise InvalidInput(f"rel_tol must lie in (0, 1), got {rel_tol}")
-    U, s, Vt = np.linalg.svd(M, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((M.shape[1], M.shape[0]), dtype=M.dtype)
-    keep = s > rel_tol * s[0]
-    U, s, Vt = U[:, keep], s[keep], Vt[keep]
+    U, s, Vt = _truncated_svd(_as_matrix(M), rel_tol)
     return (Vt.conj().T * _inverse_singular_values(s)) @ U.conj().T
 
 
@@ -121,14 +123,21 @@ def vandermonde(lambdas, length: int) -> np.ndarray:
 
     Shape is ``length x len(lambdas)``, powers running 0 .. length-1 down the
     rows. Full column rank iff the generators are distinct and there are at
-    most ``length`` of them.
+    most ``length`` of them. Raises InvalidInput, naming the generator, when
+    a power overflows.
     """
     lam = np.atleast_1d(np.asarray(lambdas, dtype=complex))
     if lam.size == 0:
         raise InvalidInput("lambdas must be nonempty")
     if length < 1:
         raise InvalidInput("length must be >= 1")
-    return lam[None, :] ** np.arange(length)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        V = lam[None, :] ** np.arange(length)[:, None]
+    bad = ~np.all(np.isfinite(V), axis=0)
+    if np.any(bad):
+        j = int(np.argmax(bad))
+        raise InvalidInput(f"lambda = {lam[j]} (modulus {abs(lam[j]):.6g}) overflows in a Vandermonde basis of length {length}")
+    return V
 
 
 def centered_pinv_update(X1, rel_tol: float = EXACT_TOL) -> np.ndarray:
@@ -142,18 +151,23 @@ def centered_pinv_update(X1, rel_tol: float = EXACT_TOL) -> np.ndarray:
     T = X1.shape[1]
     if T < 2:
         raise InvalidInput("X1 must have at least 2 columns")
-    P = pinv(X1, rel_tol)
-    ones = np.ones(T)
-    # m = (I - X1^+ X1)^H 1, zero iff 1 is in the row space of X1; no T x T product.
-    m = ones - X1.conj().T @ (P.conj().T @ ones)
+    U, s, Vt = _truncated_svd(X1, rel_tol)
+    inv_s = _inverse_singular_values(s)
+    P = (Vt.conj().T * inv_s) @ U.conj().T
+    # Both branches use 1^T P and m = (I - X1^+ X1) 1, zero iff 1 is in the row
+    # space of X1. They are formed from a = V^H 1 (1^T P = (a^H / s) U^H and
+    # m = 1 - V a), not from products with X1 or P, whose rounding grows with
+    # cond(X1): a large offset makes that large, and m small.
+    a = Vt @ np.ones(T)
+    ones_P = (a.conj() * inv_s) @ U.conj().T
+    m = np.ones(T) - Vt.conj().T @ a
     if np.linalg.norm(m, np.inf) < 1e-8 * np.sqrt(T):
-        nvec = P.conj().T @ ones
+        nvec = ones_P.conj()  # P^H 1
         nn = nvec.conj() @ nvec
         if nn == 0.0:
-            return P.copy()
+            return P
         return P - np.outer(P @ nvec, nvec.conj()) / nn
-    denom = ones @ m
-    return P - np.outer(m, ones @ P) / denom
+    return P - np.outer(m, ones_P) / np.vdot(m, m)  # 1^T m = m^H m
 
 
 def unit_eigenvalue_certificate(X1, X, tol: float) -> bool:

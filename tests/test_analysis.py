@@ -1,7 +1,11 @@
 """Tests for the comparison and spectrum machinery."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdmd import (
     InvalidInput,
@@ -50,19 +54,65 @@ class TestSpectralDistance:
             spectral_distance([1.0], [])
 
 
+def _spectra(k):
+    """``k`` eigenvalues, mixing a coarse lattice (repeats and exactly tied distances) with scattered values."""
+    lattice = st.builds(complex, st.integers(-2, 2), st.integers(-2, 2))
+    scattered = st.builds(complex, st.floats(-3, 3), st.floats(-3, 3))
+    return st.lists(st.one_of(lattice, scattered), min_size=k, max_size=k)
+
+
 class TestMatchSpectra:
     def test_permutation_invariant(self):
         a = np.array([1.0, 2.0, 3.0])
         assert match_spectra(a, a[::-1]) < 1e-12
 
     def test_optimal_not_greedy(self):
-        # Greedy nearest matching from 1.0 first would cost 0.1 + 1.0; the
-        # optimal assignment costs 0.2.
-        assert np.isclose(match_spectra([1.0, 0.9], [1.1, 1.0]), 0.2)
+        # Greedy nearest matching, row by row or closest pair first, takes
+        # 1.0 -> 0.6 and then 0.0 -> 1.5 for 1.9; the optimal assignment costs 1.1.
+        assert np.isclose(match_spectra([1.0, 0.0], [0.6, 1.5]), 1.1)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(InvalidInput):
             match_spectra([1.0], [1.0, 2.0])
+
+    def test_empty_spectra(self):
+        assert match_spectra([], []) == 0.0
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [([np.nan, 1.0], [1.0, 2.0]), ([1.0, 2.0], [np.inf, 1.0]), ([complex(0, -np.inf)], [0.0]), ([1e308], [-1e308])],
+        ids=["nan", "inf", "complex_inf", "distance_overflows"],
+    )
+    def test_nonfinite_rejected(self, a, b):
+        with pytest.raises(InvalidInput):
+            match_spectra(a, b)
+
+    @given(st.integers(1, 7).flatmap(lambda k: st.tuples(_spectra(k), _spectra(k))), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_brute_force(self, ab, conjugate):
+        a, b = (np.array(x, dtype=complex) for x in ab)
+        if conjugate:
+            # Conjugate pairs: the second half of each spectrum mirrors the first.
+            h = a.size // 2
+            a[h : 2 * h], b[h : 2 * h] = a[:h].conj(), b[:h].conj()
+        cost = np.abs(a[:, None] - b[None, :])
+        perms = np.array(list(itertools.permutations(range(a.size))))
+        best = cost[np.arange(a.size), perms].sum(axis=1).min()
+        assert abs(match_spectra(a, b) - best) <= 1e-12 * best
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 10, 31, 60])
+    @pytest.mark.parametrize("ties", [False, True], ids=["continuous", "lattice"])
+    def test_matches_scipy(self, k, ties):
+        linear_sum_assignment = pytest.importorskip("scipy.optimize").linear_sum_assignment
+        rng = np.random.default_rng(1000 * k + ties)
+        for _ in range(5):
+            if ties:
+                a, b = (rng.integers(-2, 3, (k, 2)) @ np.array([1.0, 1j]) for _ in range(2))
+            else:
+                a, b = (rng.standard_normal(k) + 1j * rng.standard_normal(k) for _ in range(2))
+            cost = np.abs(a[:, None] - b[None, :])
+            best = cost[linear_sum_assignment(cost)].sum()
+            assert abs(match_spectra(a, b) - best) <= 1e-12 * best
 
 
 class TestNoiseSweep:

@@ -10,7 +10,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cdmd import ExperimentConfig, InvalidInput, ParseError, run_experiment
+from cdmd import (
+    ExperimentConfig,
+    InvalidInput,
+    LorenzParams,
+    ParseError,
+    centered_dmd,
+    exact_dmd,
+    lorenz_rk4,
+    reconstruct,
+    run_experiment,
+    split_snapshots,
+)
 from cdmd.cli import load_matrix, main, save_matrix
 from cdmd.dmd import COMPANION_MAX_T
 
@@ -106,12 +117,18 @@ class TestMatrixIO:
         assert path.read_text() == "2 2\n1 -2.5\n0.25 3\n"
 
 
-def test_import_leaves_scipy_unloaded():
-    # SciPy is needed only by match_spectra; importing the package and the CLI
-    # must not pay for it.
+def test_import_leaves_scipy_unloaded(tmp_path):
+    # cdmd needs only NumPy: neither importing the package and the CLI nor
+    # running the experiments that compare spectra with match_spectra loads SciPy.
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    code = "import sys, cdmd, cdmd.cli; sys.exit('scipy' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+    code = (
+        "import sys, cdmd, cdmd.cli\n"
+        "if 'scipy' in sys.modules: sys.exit(1)\n"
+        "for name in ('fig2_spectra', 'fig5_fixed_freq', 'fig7_video'):\n"
+        "    cdmd.run_experiment(cdmd.ExperimentConfig(name, output_dir=sys.argv[1]))\n"
+        "sys.exit(2 if 'scipy' in sys.modules else 0)\n"
+    )
+    assert subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env, timeout=120).returncode == 0
 
 
 class TestSubcommands:
@@ -199,6 +216,22 @@ class TestExperiments:
         a["config"]["output_dir"] = b["config"]["output_dir"] = ""
         assert a == b
         assert (tmp_path / "a" / "fig2_a.csv").read_text() == (tmp_path / "b" / "fig2_a.csv").read_text()
+
+    def test_fig6_reconstruction_csv_bytes(self, tmp_path):
+        # Golden bytes: each value written as str(np.float64), which is repr(float).
+        run_experiment(ExperimentConfig("fig6_lorenz", overrides={"noise_seeds": 1}, output_dir=tmp_path))
+        X = lorenz_rk4(LorenzParams())
+        pair = split_snapshots(X)
+        clean, cen = exact_dmd(pair, r=3), centered_dmd(pair, r=3)
+        table = np.column_stack([
+            np.arange(X.shape[1]) * LorenzParams().dt,
+            X.T,
+            np.real(reconstruct(clean, X[:, 0], X.shape[1])).T,
+            np.real(reconstruct(cen, X[:, 0], X.shape[1])).T,
+        ])
+        header = "t,x,y,z,x_dmd,y_dmd,z_dmd,x_centered,y_centered,z_centered"
+        expected = "".join(line + "\r\n" for line in [header, *(",".join(str(v) for v in row) for row in table)])
+        assert (tmp_path / "fig6_reconstruction.csv").read_bytes() == expected.encode()
 
     def test_custom_requires_input(self, tmp_path, capsys):
         assert main(["experiment", "custom", "--out", str(tmp_path)]) == 1

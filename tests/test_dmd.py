@@ -1,6 +1,8 @@
 """Tests for the decomposition variants and diagnostics."""
 
+import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -419,6 +421,32 @@ class TestFrequencySubtractedDmd:
             X[:, j + 1] = x
         sub = frequency_subtracted_dmd(split_snapshots(X), [1.0, -1.0], r=4)
         assert match_spectra(sub.base.eigenvalues, spec.eigenvalues) < 1e-8
+
+    @pytest.mark.parametrize("lam", [-1j, 0.5 + 0.5j, np.exp(0.7j), -1.0, 0.9])
+    def test_dominant_forcing_recovered(self, lam):
+        # The forcing is about 1e6 times the modal content, which the float64
+        # data carry only to about 1e6 * eps relative; B must still equal the
+        # generator's b (simulate adds b * lam**(j-1) at step j, so B = b).
+        # Without the (X2 Q)(Qh W) term of the lift, or with its sign flipped,
+        # B is wrong by more than 1e-5 relative on these systems, against at
+        # most 1.3e-9 with it.
+        for seed in range(5):
+            spec = random_linear_system(9, 4, seed=40_000 + seed, bias="random")
+            spec = dataclasses.replace(spec, bias=1e6 * spec.bias)
+            x1 = well_posed_initial_state(spec, seed=41_000 + seed, forcing_lambda=lam)
+            X = simulate(spec, x1, 12, forcing_lambda=lam)
+            sub = frequency_subtracted_dmd(split_snapshots(X), [lam], r=4)
+            assert np.linalg.norm(sub.B[:, 0] - spec.bias) <= 1e-7 * np.linalg.norm(spec.bias)
+
+    def test_overflowing_forcing_named(self):
+        pair = split_snapshots(np.random.default_rng(0).standard_normal((4, 5000)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput, match=r"modulus 1\.5\b.*length 4999"):
+                frequency_subtracted_dmd(pair, [1.5], r=2)
+            # Decaying powers underflow to zero, which is representable: the fit goes through.
+            sub = frequency_subtracted_dmd(pair, [0.5, 0.25], r=2)
+        assert sub.base.rank_used == 2 and np.all(np.isfinite(sub.B))
 
     def test_validation(self):
         pair = split_snapshots(np.arange(8.0).reshape(2, 4))

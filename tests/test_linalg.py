@@ -1,6 +1,8 @@
 """Tests for the dense linear-algebra substrate."""
 
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -113,6 +115,14 @@ class TestVandermonde:
     def test_empty_rejected(self):
         with pytest.raises(InvalidInput):
             vandermonde([], 3)
+
+    @pytest.mark.parametrize("big", [1.5, -1.5j, 1e200])
+    def test_overflow_names_generator(self, big):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            named = re.escape(f"lambda = {complex(big)} (modulus {abs(big):.6g})")
+            with pytest.raises(InvalidInput, match=rf"{named}.*length 5000"):
+                vandermonde([0.5, big, 0.9j], 5000)
 
 
 class TestCenteredPinvUpdate:

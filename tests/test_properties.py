@@ -331,6 +331,26 @@ def _assert_amplitudes_fit(model, x0):
 
 REGIMES = st.sampled_from(["tall", "wide", "rank_deficient"])
 
+#: Each regime with no extra column offset and with one far larger than the
+#: data. Rank-deficient data take 1e3: at 1e6 the rounding of the stored data
+#: (about 1e6 eps) lies above the 1e-12 rank cut, so they are no longer
+#: numerically rank deficient.
+REGIME_OFFSETS = st.sampled_from(
+    [("tall", 0.0), ("tall", 1e6), ("wide", 0.0), ("wide", 1e6), ("rank_deficient", 0.0), ("rank_deficient", 1e3)]
+)
+
+
+def _offset_regime_data(regime, offset, seed):
+    """``_regime_data`` plus a random column offset of scale ``offset``."""
+    X, _ = _regime_data(regime, seed)
+    return X + offset * np.random.default_rng(seed + 1).standard_normal((X.shape[0], 1))
+
+
+def _kept_cond(M):
+    """``sigma_max / sigma_r`` over the singular values above the exact rank cut."""
+    s = np.linalg.svd(M, compute_uv=False)
+    return s[0] / s[s > EXACT_TOL * s[0]][-1]
+
 
 def _exactly_centered_data(seed, tall, offset):
     """Integer fluctuations ``F`` whose two snapshot blocks have zero row sums, on a per-row offset.
@@ -441,3 +461,37 @@ class TestReducedAgainstDenseOperator:
         Atilde = U.conj().T @ Ap @ U
         kappa = np.linalg.cond(np.linalg.eig(Atilde)[1])
         assert match_spectra(real.base.eigenvalues, cplx.base.eigenvalues) <= 1e-13 * r * kappa * np.linalg.norm(Ap)
+
+
+class TestCenteringAgainstExplicitCentering:
+    """Centered DMD and the closed-form centered pseudoinverse against explicitly centered data."""
+
+    @given(REGIME_OFFSETS, st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_centered_dmd_matches_affine_fit(self, regime_offset, seed):
+        # Both fits at the numerical rank: centered_dmd's rank rule is the lstsq cut of affine_dmd_direct.
+        pair = split_snapshots(_offset_regime_data(*regime_offset, seed))
+        cen = centered_dmd(pair)
+        A, b = affine_dmd_direct(pair)
+        mu1, mu2 = pair.X1.mean(axis=1), pair.X2.mean(axis=1)
+        scale = 1.0 + np.linalg.norm(A)
+        assert np.linalg.norm(cen.bias - b) <= 1e-13 * scale * (np.linalg.norm(mu2) + np.linalg.norm(mu1))
+        # On the data range A acts as the centered operator: each nonzero exact
+        # mode is an eigenvector of A. A mode is Z v / lambda, so its rounding
+        # grows as 1 / |lambda|.
+        keep = np.linalg.norm(cen.base.modes, axis=0) > 0
+        modes, lams = cen.base.modes[:, keep], cen.base.eigenvalues[keep]
+        residual = np.linalg.norm(A @ modes - modes * lams, axis=0)
+        assert np.all(residual <= 1e-13 * scale * (1.0 + np.linalg.norm(A) / np.abs(lams)))
+
+    @given(REGIME_OFFSETS, st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_centered_pinv_update_matches_direct_centering(self, regime_offset, seed):
+        X1 = _offset_regime_data(*regime_offset, seed)[:, :-1]
+        # A second pass removes the rounding of the means, a rank-one term the
+        # rank cut would keep when the offset dwarfs the data.
+        Xb1 = X1 - X1.mean(axis=1, keepdims=True)
+        Xb1 = Xb1 - Xb1.mean(axis=1, keepdims=True)
+        expected = pinv(Xb1)
+        got = centered_pinv_update(X1)
+        assert np.linalg.norm(got - expected) <= 1e-13 * _kept_cond(X1) * _kept_cond(Xb1) * np.linalg.norm(expected)
