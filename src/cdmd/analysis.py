@@ -23,8 +23,6 @@ class SpectrumReport:
 
     matched_distance: float
     excluded_near_unity: bool
-    n_estimated: int
-    n_true: int
     per_eigen_distances: np.ndarray
 
 
@@ -60,8 +58,6 @@ def spectral_distance(estimated, truth, exclude_near_unity: bool = False) -> Spe
     return SpectrumReport(
         matched_distance=float(np.sum(dists)),
         excluded_near_unity=exclude_near_unity,
-        n_estimated=est.size,
-        n_true=tru.size,
         per_eigen_distances=dists,
     )
 

@@ -7,12 +7,12 @@ reconstruction, and the linear-consistency residual.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import InvalidInput, RankTooHigh
-from .linalg import EXACT_TOL, _inverse_singular_values, effective_rank, pinv, vandermonde
+from .exceptions import InvalidInput
+from .linalg import EXACT_TOL, _inverse_singular_values, _truncated_svd, pinv, vandermonde
 
 #: Eigenvalues within this distance of 1 count as the background mode.
 UNIT_TOL = 1e-6
@@ -82,8 +82,6 @@ class CenteredDmdModel:
     base: DmdModel
     bias: np.ndarray
     fixed_point: np.ndarray | None
-    mean1: np.ndarray = field(repr=False, default=None)
-    mean2: np.ndarray = field(repr=False, default=None)
 
 
 @dataclass(frozen=True)
@@ -93,9 +91,6 @@ class CompanionModel:
     c_coeffs: np.ndarray
     companion_eigenvalues: np.ndarray
     residual_norm: float
-
-    def companion_matrix(self) -> np.ndarray:
-        return _companion_matrix(self.c_coeffs)
 
 
 def _companion_matrix(c) -> np.ndarray:
@@ -202,22 +197,16 @@ def _reduce(C1, C2, r: int | None, rel_tol: float):
     """SVD of ``C1`` and the reduced operator: ``u_r``, ``W = V_r Sigma_r^-1`` and ``Atilde = u_r^H C2 W``.
 
     Takes the coordinates of one pair or an (R, m, T) stack of pairs. ``r``
-    defaults to the number of singular values above ``rel_tol * sigma_max`` of
-    a single pair; a stack needs ``r`` and raises RankTooHigh if any slice has
-    fewer than ``r``. Raises InvalidInput when ``Atilde`` is not finite (badly
-    scaled data).
+    defaults to the rank rule of a single pair; a stack needs ``r`` and raises
+    RankTooHigh if any slice has fewer than ``r`` singular values above
+    ``rel_tol * sigma_max`` (see ``_truncated_svd``). Raises InvalidInput when
+    ``Atilde`` is not finite (badly scaled data).
     """
-    u, s, Vt = np.linalg.svd(C1, full_matrices=False)
-    if r is None and s.ndim > 1:
+    if r is None and C1.ndim > 2:
         raise InvalidInput("a stack of snapshot pairs needs an explicit rank")
-    available = int(np.min(np.sum(s > rel_tol * s[..., :1], axis=-1)))
-    if r is None:
-        r = available
-    if r > available:
-        raise RankTooHigh(f"requested rank {r} but only {available} singular values above tolerance")
-    if r < 1:
+    u, s, Vt = _truncated_svd(C1, rel_tol, r)
+    if s.shape[-1] == 0 or (r is not None and r < 1):
         raise InvalidInput("truncation rank must be >= 1 (is the data all zero?)")
-    u, s, Vt = u[..., :r], s[..., :r], Vt[..., :r, :]
 
     W = Vt.conj().swapaxes(-1, -2) * _inverse_singular_values(s)[..., None, :]  # V_r Sigma_r^-1, (R x) T x r
     with np.errstate(over="ignore", invalid="ignore"):
@@ -286,7 +275,6 @@ def exact_dmd(pair: SnapshotPair, r: int | None = None, rel_tol: float = EXACT_T
 def centered_dmd(
     pair: SnapshotPair,
     r: int | None = None,
-    unit_tol: float = UNIT_TOL,
     rel_tol: float = EXACT_TOL,
 ) -> CenteredDmdModel:
     """DMD on column-centered snapshots, with the equivalent affine term.
@@ -297,7 +285,7 @@ def centered_dmd(
     mu1 1^T``). The operator is ``Z U_r^H`` with ``Z = Y2 W``
     (``W = V_r Sigma_r^-1`` is orthogonal to the ones vector, so this is the
     centered ``Xb2 W``) and ``Atilde = u_r^H Cb2 W``; the bias is
-    ``mu2 - Z (u_r^H c1)``. When no eigenvalue lies within ``unit_tol`` of 1,
+    ``mu2 - Z (u_r^H c1)``. When no eigenvalue lies within ``UNIT_TOL`` of 1,
     the fixed point is solved for as well, by Woodbury as an r x r solve:
     ``bias + Z (I_r - Atilde)^-1 (u_r^H c2 - Atilde u_r^H c1)``.
     """
@@ -312,9 +300,9 @@ def centered_dmd(
     uc1 = u.conj().T @ c1
     bias = mu2 - Z @ uc1
     fixed_point = None
-    if np.min(np.abs(base.eigenvalues - 1.0)) > unit_tol:
+    if np.min(np.abs(base.eigenvalues - 1.0)) > UNIT_TOL:
         fixed_point = bias + Z @ np.linalg.solve(np.eye(base.rank_used) - Atilde, u.conj().T @ c2 - Atilde @ uc1)
-    return CenteredDmdModel(base, bias, fixed_point, mu1, mu2)
+    return CenteredDmdModel(base, bias, fixed_point)
 
 
 def affine_dmd_direct(pair: SnapshotPair):
@@ -476,6 +464,5 @@ def consistency_residual(pair: SnapshotPair) -> float:
     ``X1^+ X1 = V V^H`` for the right singular vectors ``V`` that ``pinv``
     keeps, so no T x T matrix is formed.
     """
-    _, s, Vt = np.linalg.svd(pair.X1, full_matrices=False)
-    Vt = Vt[s > EXACT_TOL * s[0]]
+    Vt = _truncated_svd(pair.X1, EXACT_TOL)[2]
     return float(np.linalg.norm(pair.X2 - (pair.X2 @ Vt.conj().T) @ Vt))

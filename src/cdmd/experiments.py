@@ -32,6 +32,7 @@ from .dmd import (
     consistency_residual,
     exact_dmd,
     frequency_subtracted_dmd,
+    reconstruct,
     split_snapshots,
 )
 from .exceptions import InvalidInput
@@ -282,8 +283,6 @@ def _run_fig6(seed, params, out_dir, rec):
     rec.check("fig6_eigenvalue_near_one", np.min(np.abs(clean.eigenvalues - 1.0)), 0.01)
     cen_clean = centered_dmd(pair, r=3)
     rec.add_spectrum("centered_noiseless", cen_clean.base.eigenvalues)
-
-    from .dmd import reconstruct
 
     recon_u = reconstruct(clean, X[:, 0], X.shape[1])
     recon_c = reconstruct(cen_clean, X[:, 0], X.shape[1])

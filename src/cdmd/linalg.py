@@ -1,8 +1,9 @@
 """Dense linear-algebra substrate.
 
-SVD-backed pseudoinverse, effective-rank estimation, rectangular Vandermonde
-construction, the closed-form pseudoinverse of column-centered data, and the
-certificate for a unit eigenvalue in the fitted propagator.
+The rank rule that every truncation shares, SVD-backed pseudoinverse,
+effective-rank estimation, rectangular Vandermonde construction, the
+closed-form pseudoinverse of column-centered data, and the certificate for a
+unit eigenvalue in the fitted propagator.
 """
 
 from __future__ import annotations
@@ -11,12 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import InvalidInput
+from .exceptions import InvalidInput, RankTooHigh
 
 #: Default relative singular-value cutoff for "exact" (noiseless) rank.
 EXACT_TOL = 1e-12
 
-RANK_METHODS = ("exact_tol", "relative_gap", "optimal_hard_threshold")
+RANK_METHODS = ("exact_tol", "optimal_hard_threshold")
 
 
 @dataclass(frozen=True)
@@ -46,13 +47,30 @@ def _inverse_singular_values(s) -> np.ndarray:
     return inv
 
 
-def _truncated_svd(M, rel_tol: float):
-    """SVD factors ``U, s, Vt`` of ``M`` truncated to the singular values above ``rel_tol * sigma_max``."""
+def _rank(s, rel_tol: float) -> int:
+    """The rank rule: the number of singular values above ``rel_tol * sigma_max``.
+
+    ``s`` holds the descending singular values of one matrix or of a stack of
+    them (last axis); a stack gets the fewest over its slices. Raises
+    InvalidInput unless ``0 < rel_tol < 1``.
+    """
     if not 0.0 < rel_tol < 1.0:
         raise InvalidInput(f"rel_tol must lie in (0, 1), got {rel_tol}")
+    return int(np.min(np.sum(s > rel_tol * s[..., :1], axis=-1)))
+
+
+def _truncated_svd(M, rel_tol: float, r: int | None = None):
+    """SVD factors ``U, s, Vt`` of a matrix or an (R, m, T) stack, truncated at rank ``r``.
+
+    ``r`` defaults to the rank rule ``_rank``; RankTooHigh if it exceeds it.
+    """
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
-    keep = s > rel_tol * s[0]
-    return U[:, keep], s[keep], Vt[keep]
+    available = _rank(s, rel_tol)
+    if r is None:
+        r = available
+    elif r > available:
+        raise RankTooHigh(f"requested rank {r} but only {available} singular values above tolerance")
+    return U[..., :r], s[..., :r], Vt[..., :r, :]
 
 
 def pinv(M, rel_tol: float = EXACT_TOL) -> np.ndarray:
@@ -83,31 +101,20 @@ def effective_rank(
 ) -> RankEstimate:
     """Estimate the rank of the noiseless signal underlying ``M``.
 
-    ``exact_tol`` counts singular values above ``rel_tol * sigma_max``;
-    ``relative_gap`` cuts at the largest ratio gap in the spectrum;
-    ``optimal_hard_threshold`` applies the aspect-ratio-dependent hard
-    threshold, using ``noise_hint`` as the noise standard deviation when given.
+    ``exact_tol`` is the rank rule of the fits and of ``pinv`` (``_rank``):
+    it counts singular values above ``rel_tol * sigma_max``, with
+    ``0 < rel_tol < 1``. ``optimal_hard_threshold`` applies the
+    aspect-ratio-dependent hard threshold of Gavish & Donoho (2014), using
+    ``noise_hint`` as the noise standard deviation when given.
     """
     M = _as_matrix(M)
     if method not in RANK_METHODS:
         raise InvalidInput(f"unknown rank method {method!r}")
     s = np.linalg.svd(M, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return RankEstimate(0, method, 0.0)
-
     if method == "exact_tol":
-        thresh = rel_tol * s[0]
-        return RankEstimate(int(np.sum(s > thresh)), method, float(thresh))
-
-    if method == "relative_gap":
-        # Largest ratio sigma_i / sigma_{i+1}; trailing exact zeros give an
-        # infinite gap, which correctly selects the numerical rank.
-        with np.errstate(divide="ignore"):
-            ratios = s[:-1] / np.maximum(s[1:], np.finfo(float).tiny)
-        if ratios.size == 0:
-            return RankEstimate(1, method, float(s[0]))
-        i = int(np.argmax(ratios))
-        return RankEstimate(i + 1, method, float(s[i]))
+        return RankEstimate(_rank(s, rel_tol), method, float(rel_tol * s[0]))
+    if s[0] == 0.0:
+        return RankEstimate(0, method, 0.0)
 
     m, n = M.shape
     beta = min(m, n) / max(m, n)

@@ -41,7 +41,6 @@ class LinearSystemSpec:
     eigenvalues: np.ndarray
     eigenvector_matrix: np.ndarray
     bias: np.ndarray | None = None
-    seed: int | None = None
 
     def __post_init__(self):
         lams = np.atleast_1d(np.asarray(self.eigenvalues, dtype=complex))
@@ -95,13 +94,10 @@ class LorenzParams:
 class NoiseSpec:
     eta: float
     seed: int = 0
-    distribution: str = "gaussian"
 
     def __post_init__(self):
         if self.eta < 0:
             raise InvalidInput("noise level must be nonnegative")
-        if self.distribution != "gaussian":
-            raise InvalidInput(f"unsupported distribution {self.distribution!r}")
 
 
 def _draw_eigenvalues(rng, r, placement):
@@ -158,8 +154,9 @@ def random_linear_system(
 ) -> LinearSystemSpec:
     """Draw a real rank-``r`` system with a controlled eigenvalue set.
 
-    ``bias`` may be None, an explicit vector, or ``"random"`` for a random
-    standard-normal affine term. Deterministic per seed.
+    ``prescribed``, when given, lists the ``r`` eigenvalues. ``bias`` may be
+    None, an explicit vector, or ``"random"`` for a random standard-normal
+    affine term. Deterministic per seed.
     """
     if r > n:
         raise InvalidInput(f"rank {r} exceeds dimension {n}")
@@ -170,8 +167,8 @@ def random_linear_system(
         if prescribed is None:
             raise InvalidInput("prescribed placement requires an eigenvalue list")
         lams = np.atleast_1d(np.asarray(prescribed, dtype=complex))
-        if lams.size != r and prescribed is not None:
-            r = lams.size
+        if lams.size != r:
+            raise InvalidInput(f"rank {r} does not match the {lams.size} prescribed eigenvalues")
         sep = np.abs(lams[:, None] - lams[None, :])
         np.fill_diagonal(sep, np.inf)
         if lams.size > 1 and np.min(sep) <= 1e-6:
@@ -185,7 +182,7 @@ def random_linear_system(
         if bias != "random":
             raise InvalidInput(f"unknown bias option {bias!r}")
         bias = rng.standard_normal(n)
-    return LinearSystemSpec(n=n, r=r, eigenvalues=lams, eigenvector_matrix=V, bias=bias, seed=seed)
+    return LinearSystemSpec(n=n, r=r, eigenvalues=lams, eigenvector_matrix=V, bias=bias)
 
 
 def well_posed_initial_state(spec: LinearSystemSpec, seed: int = 0, forcing_lambda=None) -> np.ndarray:

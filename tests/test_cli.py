@@ -1,5 +1,6 @@
 """Tests for the command-line interface and the experiment runner."""
 
+import ast
 import json
 import os
 import subprocess
@@ -131,6 +132,24 @@ def test_import_leaves_scipy_unloaded(tmp_path):
     assert subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env, timeout=120).returncode == 0
 
 
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in (Path(__file__).resolve().parents[1] / "src" / "cdmd").glob("*.py") if p.name != "__init__.py"),
+    ids=lambda p: p.name,
+)
+def test_module_imports_are_used(path):
+    # Every name a module binds with a module-level import is read somewhere in it.
+    tree = ast.parse(path.read_text())
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound.update({(a.asname or a.name).split(".")[0]: node.lineno for a in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update({a.asname or a.name: node.lineno for a in node.names})
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert not [f"{path.name}:{line} {name}" for name, line in bound.items() if name not in read]
+
+
 class TestSubcommands:
     def test_dmd_json(self, golden_file, tmp_path, capsys):
         out = tmp_path / "res.json"
@@ -170,6 +189,11 @@ class TestSubcommands:
 
     def test_invalid_rank_exits_one(self, golden_file, capsys):
         assert main(["dmd", "--input", str(golden_file), "--rank", "99"]) == 1
+
+    @pytest.mark.parametrize("tol", ["0", "2"])
+    def test_tol_outside_unit_interval_exits_one(self, golden_file, capsys, tol):
+        assert main(["dmd", "--input", str(golden_file), "--tol", tol]) == 1
+        assert f"rel_tol must lie in (0, 1), got {float(tol)}" in capsys.readouterr().err
 
     def test_parse_error_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

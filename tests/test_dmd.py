@@ -230,13 +230,6 @@ class TestCenteredDmd:
         unc = exact_dmd(split_snapshots(X), r=4)
         assert np.min(np.abs(unc.eigenvalues - 1.0)) < 1e-8
 
-    def test_bias_recomputable_from_means(self):
-        spec = random_linear_system(6, 3, seed=26, bias="random")
-        X = simulate(spec, well_posed_initial_state(spec, seed=27), 15)
-        model = centered_dmd(split_snapshots(X), r=3)
-        assert np.allclose(model.mean1, X[:, :-1].mean(axis=1))
-        assert np.allclose(model.mean2, X[:, 1:].mean(axis=1))
-
     @pytest.mark.filterwarnings("error")
     def test_subnormal_singular_value_rejected(self):
         X1 = np.array([[5e-324, 0.0]])
@@ -362,13 +355,6 @@ class TestCompanionDmd:
         assert np.allclose(model.c_coeffs, [0.8, 1.6], atol=1e-12)
         assert match_spectra(model.companion_eigenvalues, [2.0, -0.4]) < 1e-10
         assert model.residual_norm < 1e-12
-
-    def test_companion_matrix_layout(self):
-        model = companion_dmd(np.array([[1.0, 2.0, 4.0]]))
-        C = model.companion_matrix()
-        assert C.shape == (2, 2)
-        assert C[1, 0] == 1.0
-        assert np.allclose(C[:, -1], model.c_coeffs)
 
     def test_size_guard(self):
         X = np.random.default_rng(48).standard_normal((2, COMPANION_MAX_T + 2))

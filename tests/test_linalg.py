@@ -7,7 +7,19 @@ import warnings
 import numpy as np
 import pytest
 
-from cdmd import InvalidInput
+from cdmd import (
+    InvalidInput,
+    RankTooHigh,
+    centered_dmd,
+    consistency_residual,
+    exact_dmd,
+    frequency_subtracted_dmd,
+    random_linear_system,
+    split_snapshots,
+    well_posed_initial_state,
+)
+from cdmd import linalg
+from cdmd.dmd import _eigenvalues
 from cdmd.linalg import (
     centered_pinv_update,
     effective_rank,
@@ -46,9 +58,24 @@ class TestPinv:
         with pytest.raises(InvalidInput):
             pinv(np.array([[np.nan, 1.0]]))
 
-    def test_rejects_bad_tol(self):
-        with pytest.raises(InvalidInput):
-            pinv(np.eye(2), rel_tol=2.0)
+    @pytest.mark.parametrize("rel_tol", [0.0, 1.0, 2.0, -1.0, np.nan])
+    @pytest.mark.parametrize(
+        "truncate",
+        [
+            pinv,
+            centered_pinv_update,
+            effective_rank,
+            lambda X1, rel_tol: exact_dmd(split_snapshots(X1), rel_tol=rel_tol),
+            lambda X1, rel_tol: centered_dmd(split_snapshots(X1), rel_tol=rel_tol),
+            lambda X1, rel_tol: frequency_subtracted_dmd(split_snapshots(X1), [0.5], rel_tol=rel_tol),
+        ],
+        ids=["pinv", "centered_pinv_update", "effective_rank", "exact_dmd", "centered_dmd", "freq_sub"],
+    )
+    def test_rejects_bad_tol(self, truncate, rel_tol):
+        # rel_tol = 0 would keep round-off singular values; rel_tol >= 1 keeps none.
+        X = np.random.default_rng(1).standard_normal((3, 6))
+        with pytest.raises(InvalidInput, match="rel_tol"):
+            truncate(X, rel_tol=rel_tol)
 
     @pytest.mark.filterwarnings("error")
     def test_subnormal_singular_value_rejected(self):
@@ -65,14 +92,6 @@ class TestEffectiveRank:
 
     def test_zero_matrix(self):
         assert effective_rank(np.zeros((4, 4))).r == 0
-
-    def test_relative_gap_with_noise(self):
-        # Oracle: known-rank factorization plus small noise; the largest
-        # singular-value ratio gap sits at index 7.
-        rng = np.random.default_rng(3)
-        M = rng.standard_normal((10, 7)) @ rng.standard_normal((7, 30))
-        M = M + 1e-6 * rng.standard_normal(M.shape)
-        assert effective_rank(M, method="relative_gap").r == 7
 
     def test_optimal_hard_threshold_known_noise(self):
         rng = np.random.default_rng(4)
@@ -95,6 +114,28 @@ class TestEffectiveRank:
     def test_range_invariant(self):
         est = effective_rank(np.eye(3))
         assert 0 <= est.r <= 3 and est.method == "exact_tol"
+
+
+class TestOneRankRule:
+    def test_every_truncation_uses_the_rule(self, monkeypatch):
+        # With the rule patched to one singular value, every default-rank
+        # truncation in the package follows it.
+        spec = random_linear_system(8, 4, seed=3, bias="random")
+        pair = split_snapshots(simulate(spec, well_posed_initial_state(spec, seed=4), 20))
+        _, _, Vt = np.linalg.svd(pair.X1, full_matrices=False)
+        rank_one_residual = np.linalg.norm(pair.X2 - (pair.X2 @ Vt[:1].T) @ Vt[:1])
+        assert consistency_residual(pair) < 1e-6 * rank_one_residual
+
+        monkeypatch.setattr(linalg, "_rank", lambda s, rel_tol: 1)
+        assert exact_dmd(pair).rank_used == 1
+        assert centered_dmd(pair).base.rank_used == 1
+        assert frequency_subtracted_dmd(pair, [0.5]).base.rank_used == 1
+        assert np.linalg.matrix_rank(pinv(pair.X1)) == 1
+        assert effective_rank(pair.X1).r == 1
+        assert consistency_residual(pair) == pytest.approx(rank_one_residual, rel=1e-12)
+        stack = np.stack([pair.X1, pair.X1]), np.stack([pair.X2, pair.X2])
+        with pytest.raises(RankTooHigh):
+            _eigenvalues(*stack, r=2)
 
 
 class TestVandermonde:

@@ -49,6 +49,12 @@ class TestRandomLinearSystem:
         with pytest.raises(InvalidInput):
             random_linear_system(3, 2, prescribed=[1j, 2.0])  # not conjugate-closed
 
+    @pytest.mark.parametrize("n, r, prescribed", [(10, 3, [0.5, 0.6]), (2, 2, [0.5, 0.6, 0.7])])
+    def test_prescribed_count_must_match_rank(self, n, r, prescribed):
+        # r is the rank of the drawn matrix, so a second count cannot override it.
+        with pytest.raises(InvalidInput, match=f"rank {r} does not match the {len(prescribed)} prescribed"):
+            random_linear_system(n, r, prescribed=prescribed)
+
     def test_mixed_placement_straddles_unit_circle(self):
         spec = random_linear_system(10, 6, placement="mixed_stable_unstable", seed=3)
         mods = np.abs(spec.eigenvalues)
