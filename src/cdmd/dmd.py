@@ -154,7 +154,9 @@ def _coordinates(X1, X2, shift=None):
     share T - 1 columns, so one Householder QR of ``[Y1, y_T, s]`` gives
     (T+1)-row coordinates of both blocks and of ``s`` projected on their span,
     and ``Q`` is never formed. Any other pair, and (R, n, T) stacks of pairs
-    (``shift`` then (R, n)), are their own coordinates (``Q = I``). A fit
+    (``shift`` then (R, n)), are their own coordinates (``Q = I``); wide ones
+    (``n < T``) are factored through their conjugate transpose, so the one
+    SVD is T x n (see ``linalg._svd``). A fit
     needs ``U_r^H`` only on vectors in the range of the data, where it equals
     ``u_r^H Q^H`` with ``u_r`` from the SVD of ``C1``. A shift near the
     column means makes the QR's rounding relative to the fluctuations rather
@@ -205,8 +207,8 @@ def _reduce(C1, C2, r: int | None, rel_tol: float):
     if r is None and C1.ndim > 2:
         raise InvalidInput("a stack of snapshot pairs needs an explicit rank")
     u, s, Vt = _truncated_svd(C1, rel_tol, r)
-    if s.shape[-1] == 0 or (r is not None and r < 1):
-        raise InvalidInput("truncation rank must be >= 1 (is the data all zero?)")
+    if s.shape[-1] == 0:
+        raise InvalidInput("no singular value lies above rel_tol * sigma_max (is the data all zero?)")
 
     W = Vt.conj().swapaxes(-1, -2) * _inverse_singular_values(s)[..., None, :]  # V_r Sigma_r^-1, (R x) T x r
     with np.errstate(over="ignore", invalid="ignore"):

@@ -59,12 +59,36 @@ def _rank(s, rel_tol: float) -> int:
     return int(np.min(np.sum(s > rel_tol * s[..., :1], axis=-1)))
 
 
+def _svd(M, compute_uv: bool = True):
+    """``numpy.linalg.svd(M, full_matrices=False)`` of a matrix or an (R, m, T) stack, factored tall.
+
+    A wide ``M`` (``m < T``) is factored through its conjugate transpose, the
+    R-SVD of Chan (ACM TOMS, 1982): ``M^H = Uh s Vh`` gives ``U = Vh^H`` and
+    ``Vt = Uh^H``, so LAPACK starts from a QR of a T x m matrix instead of an
+    LQ followed by an m x T ``Vt``. This is the only ``numpy.linalg.svd``
+    call in cdmd.
+    """
+    wide = M.shape[-2] < M.shape[-1]
+    if wide:
+        M = M.swapaxes(-1, -2).conj()
+    if not compute_uv:
+        return np.linalg.svd(M, compute_uv=False)
+    U, s, Vt = np.linalg.svd(M, full_matrices=False)
+    if wide:
+        return Vt.swapaxes(-1, -2).conj(), s, U.swapaxes(-1, -2).conj()
+    return U, s, Vt
+
+
 def _truncated_svd(M, rel_tol: float, r: int | None = None):
     """SVD factors ``U, s, Vt`` of a matrix or an (R, m, T) stack, truncated at rank ``r``.
 
-    ``r`` defaults to the rank rule ``_rank``; RankTooHigh if it exceeds it.
+    ``r`` defaults to the rank rule ``_rank``; InvalidInput if it is below 1,
+    RankTooHigh if it exceeds the rule. A wide ``M`` is factored through its
+    conjugate transpose (see ``_svd``).
     """
-    U, s, Vt = np.linalg.svd(M, full_matrices=False)
+    if r is not None and r < 1:
+        raise InvalidInput(f"requested rank {r} must be >= 1")
+    U, s, Vt = _svd(M)
     available = _rank(s, rel_tol)
     if r is None:
         r = available
@@ -102,17 +126,19 @@ def effective_rank(
     """Estimate the rank of the noiseless signal underlying ``M``.
 
     ``exact_tol`` is the rank rule of the fits and of ``pinv`` (``_rank``):
-    it counts singular values above ``rel_tol * sigma_max``, with
-    ``0 < rel_tol < 1``. ``optimal_hard_threshold`` applies the
-    aspect-ratio-dependent hard threshold of Gavish & Donoho (2014), using
-    ``noise_hint`` as the noise standard deviation when given.
+    it counts singular values above ``rel_tol * sigma_max``.
+    ``optimal_hard_threshold`` applies the aspect-ratio-dependent hard
+    threshold of Gavish & Donoho (2014), using ``noise_hint`` as the noise
+    standard deviation when given. Either method raises InvalidInput unless
+    ``0 < rel_tol < 1``.
     """
     M = _as_matrix(M)
     if method not in RANK_METHODS:
         raise InvalidInput(f"unknown rank method {method!r}")
-    s = np.linalg.svd(M, compute_uv=False)
+    s = _svd(M, compute_uv=False)
+    exact = _rank(s, rel_tol)  # rejects a rel_tol outside (0, 1) for either method
     if method == "exact_tol":
-        return RankEstimate(_rank(s, rel_tol), method, float(rel_tol * s[0]))
+        return RankEstimate(exact, method, float(rel_tol * s[0]))
     if s[0] == 0.0:
         return RankEstimate(0, method, 0.0)
 

@@ -132,11 +132,10 @@ def test_import_leaves_scipy_unloaded(tmp_path):
     assert subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env, timeout=120).returncode == 0
 
 
-@pytest.mark.parametrize(
-    "path",
-    sorted(p for p in (Path(__file__).resolve().parents[1] / "src" / "cdmd").glob("*.py") if p.name != "__init__.py"),
-    ids=lambda p: p.name,
-)
+SRC_MODULES = sorted(p for p in (Path(__file__).resolve().parents[1] / "src" / "cdmd").glob("*.py") if p.name != "__init__.py")
+
+
+@pytest.mark.parametrize("path", SRC_MODULES, ids=lambda p: p.name)
 def test_module_imports_are_used(path):
     # Every name a module binds with a module-level import is read somewhere in it.
     tree = ast.parse(path.read_text())
@@ -148,6 +147,25 @@ def test_module_imports_are_used(path):
             bound.update({a.asname or a.name: node.lineno for a in node.names})
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert not [f"{path.name}:{line} {name}" for name, line in bound.items() if name not in read]
+
+
+@pytest.mark.parametrize("path", SRC_MODULES, ids=lambda p: p.name)
+def test_svd_only_through_linalg_svd(path):
+    # Every SVD goes through linalg._svd, which factors a wide matrix through its
+    # conjugate transpose: no module names an ``svd`` anywhere else.
+    tree = ast.parse(path.read_text())
+    inside = set()
+    if path.name == "linalg.py":
+        (svd_def,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_svd"]
+        inside = set(ast.walk(svd_def))
+    uses = [
+        node
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr == "svd")
+        or (isinstance(node, ast.ImportFrom) and any(a.name == "svd" for a in node.names))
+    ]
+    assert not [f"{path.name}:{node.lineno}" for node in uses if node not in inside]
+    assert path.name != "linalg.py" or any(node in inside for node in uses)
 
 
 class TestSubcommands:

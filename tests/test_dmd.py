@@ -78,7 +78,7 @@ def _svd_shapes(monkeypatch, fit, pair):
 FITS = {
     "exact": exact_dmd,
     "centered": centered_dmd,
-    "freq_subtracted": lambda pair: frequency_subtracted_dmd(pair, [np.exp(0.7j), np.exp(-0.7j)]),
+    "freq_subtracted": lambda pair, r=None: frequency_subtracted_dmd(pair, [np.exp(0.7j), np.exp(-0.7j)], r=r),
 }
 
 
@@ -101,14 +101,32 @@ class TestCoordinateStep:
 
     @pytest.mark.parametrize("fit", FITS)
     def test_wide_pair_svds_data(self, monkeypatch, fit):
+        # A wide pair is its own coordinates, factored through its conjugate transpose.
         pair = split_snapshots(np.random.default_rng(2).standard_normal((4, 30)))
-        assert (pair.n, pair.T) in _svd_shapes(monkeypatch, FITS[fit], pair)
+        shapes = _svd_shapes(monkeypatch, FITS[fit], pair)
+        assert (pair.T, pair.n) in shapes
+        assert (pair.n, pair.T) not in shapes
 
     @pytest.mark.filterwarnings("error")
     def test_nonfinite_coordinates_rejected(self):
         # Every entry is finite, but the column norms overflow in the QR.
         with pytest.raises(InvalidInput, match="non-finite"):
             exact_dmd(split_snapshots(np.full((40, 4), 1e308)))
+
+
+class TestTruncationRank:
+    @pytest.mark.parametrize("r", [0, -1])
+    @pytest.mark.parametrize("fit", FITS)
+    def test_rank_below_one_rejected(self, fit, r):
+        pair = split_snapshots(np.array([[1.0, 3, 7, 15], [1, 5, 17, 53]]))
+        with pytest.raises(InvalidInput, match=f"requested rank {r} must be >= 1") as err:
+            FITS[fit](pair, r=r)
+        assert "all zero" not in str(err.value)
+
+    @pytest.mark.parametrize("fit", FITS)
+    def test_all_zero_data_rejected(self, fit):
+        with pytest.raises(InvalidInput, match="all zero"):
+            FITS[fit](split_snapshots(np.zeros((2, 6))))
 
 
 class TestCanonicalizeMode:

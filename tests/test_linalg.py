@@ -65,11 +65,12 @@ class TestPinv:
             pinv,
             centered_pinv_update,
             effective_rank,
+            lambda M, rel_tol: effective_rank(M, method="optimal_hard_threshold", rel_tol=rel_tol),
             lambda X1, rel_tol: exact_dmd(split_snapshots(X1), rel_tol=rel_tol),
             lambda X1, rel_tol: centered_dmd(split_snapshots(X1), rel_tol=rel_tol),
             lambda X1, rel_tol: frequency_subtracted_dmd(split_snapshots(X1), [0.5], rel_tol=rel_tol),
         ],
-        ids=["pinv", "centered_pinv_update", "effective_rank", "exact_dmd", "centered_dmd", "freq_sub"],
+        ids=["pinv", "centered_pinv_update", "effective_rank", "effective_rank_oht", "exact_dmd", "centered_dmd", "freq_sub"],
     )
     def test_rejects_bad_tol(self, truncate, rel_tol):
         # rel_tol = 0 would keep round-off singular values; rel_tol >= 1 keeps none.

@@ -27,6 +27,7 @@ from cdmd import (
 from cdmd.dmd import TALL_FACTOR, SnapshotPair
 from cdmd.linalg import (
     EXACT_TOL,
+    _truncated_svd,
     centered_pinv_update,
     effective_rank,
     pinv,
@@ -35,6 +36,7 @@ from cdmd.linalg import (
 )
 
 finite_floats = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False)
+finite_complex = st.complex_numbers(max_magnitude=100.0, allow_nan=False, allow_infinity=False)
 
 
 def matrices(max_rows=6, max_cols=8):
@@ -75,6 +77,36 @@ class TestPenroseConditions:
         assert np.linalg.norm(P @ M @ P - P) <= 1e-9 * nP * scale
         assert np.linalg.norm(M @ P - (M @ P).T) <= 1e-9 * scale
         assert np.linalg.norm(P @ M - (P @ M).T) <= 1e-9 * scale
+
+
+def wide_matrices():
+    """A real or complex m x T matrix with m < T, or an (R, m, T) stack of them."""
+    shapes = st.tuples(st.sampled_from([(), (1,), (3,)]), st.integers(1, 4), st.integers(1, 6))
+    return shapes.map(lambda b: (*b[0], b[1], b[1] + b[2])).flatmap(
+        lambda shape: arrays(np.float64, shape, elements=finite_floats)
+        | arrays(np.complex128, shape, elements=finite_complex)
+    )
+
+
+class TestWideSvd:
+    @given(wide_matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_factors_reproduce_the_matrix(self, M):
+        # A wide M is factored through M^H; the factors returned are those of M.
+        # Each slice is scaled to a largest entry of 1, so no norm underflows.
+        peak = np.max(np.abs(M), axis=(-2, -1), keepdims=True)
+        M = M / np.where(peak > 0, peak, 1.0)
+        U, s, Vt = _truncated_svd(M, EXACT_TOL)
+        r = s.shape[-1]
+        s_ref = np.linalg.svd(M, compute_uv=False)
+        assert np.all(np.abs(s - s_ref[..., :r]) <= 1e-13 * s_ref[..., :1])
+        # A stack keeps its fewest rule-passing singular values; by Eckart-Young
+        # the dropped ones bound the error of the best rank-r approximation.
+        dropped = np.linalg.norm(s_ref[..., r:], axis=-1)
+        error = np.linalg.norm(M - (U * s[..., None, :]) @ Vt, axis=(-2, -1))
+        assert np.all(error <= 1e-13 * np.linalg.norm(M, axis=(-2, -1)) + dropped)
+        assert np.all(np.abs(U.conj().swapaxes(-1, -2) @ U - np.eye(r)) <= 1e-13)
+        assert np.all(np.abs(Vt @ Vt.conj().swapaxes(-1, -2) - np.eye(r)) <= 1e-13)
 
 
 class TestVandermondeRankLaw:
