@@ -11,6 +11,7 @@ input is invalid, 2 for usage errors.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -27,40 +28,55 @@ from .linalg import EXACT_TOL
 def load_matrix(path) -> np.ndarray:
     """Read a matrix from a text file with a ``rows cols`` header line.
 
+    The header is read first and ``np.loadtxt`` then parses the rest of the
+    open file, so the text is never held whole. Blank lines are skipped.
     Entries are parsed by ``np.loadtxt``: decimal and exponent notation,
     ``inf`` and ``nan``. Tokens only Python's ``float`` accepts, such as
     ``1_0`` or non-ASCII digits, raise ``ParseError``.
     """
     try:
-        text = Path(path).read_text()
+        with open(path) as f:
+            lines = (line for line in f if line.strip())
+            header = next(lines, None)
+            if header is None:
+                raise ParseError(f"{path}: empty matrix file")
+            rows, cols = _parse_header(path, header.rstrip("\n"))
+            first = next(lines, None)
+            if first is None:
+                raise ParseError(f"{path}: header promises {rows} rows but file has 0")
+            try:
+                data = np.loadtxt(itertools.chain([first], f), dtype=float, comments=None, ndmin=2)
+            except ValueError:
+                data = None
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ParseError(f"{path}: empty matrix file")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise ParseError(f"{path}: header must be 'rows cols', got {lines[0]!r}")
-    try:
-        rows, cols = int(header[0]), int(header[1])
-    except ValueError as exc:
-        raise ParseError(f"{path}: non-integer header {lines[0]!r}") from exc
-    if rows < 1 or cols < 1:
-        raise ParseError(f"{path}: header dimensions must be positive, got {rows} x {cols}")
-    body = lines[1:]
-    if len(body) != rows:
-        raise ParseError(f"{path}: header promises {rows} rows but file has {len(body)}")
-    try:
-        data = np.loadtxt(body, dtype=float, comments=None, ndmin=2)
-    except ValueError:
-        data = None
     if data is None or data.shape != (rows, cols):
-        _raise_row_error(path, body, cols)
+        _raise_row_error(path, rows, cols)
     return data
 
 
-def _raise_row_error(path, body, cols):
-    """Re-scan a body that failed to parse as a whole and name its first bad row."""
+def _parse_header(path, header):
+    fields = header.split()
+    if len(fields) != 2:
+        raise ParseError(f"{path}: header must be 'rows cols', got {header!r}")
+    try:
+        rows, cols = int(fields[0]), int(fields[1])
+    except ValueError as exc:
+        raise ParseError(f"{path}: non-integer header {header!r}") from exc
+    if rows < 1 or cols < 1:
+        raise ParseError(f"{path}: header dimensions must be positive, got {rows} x {cols}")
+    return rows, cols
+
+
+def _raise_row_error(path, rows, cols):
+    """Read again a file whose body failed to parse as a whole and name its first bad row."""
+    try:
+        with open(path) as f:
+            body = [line for line in f if line.strip()][1:]
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    if len(body) != rows:
+        raise ParseError(f"{path}: header promises {rows} rows but file has {len(body)}")
     for i, line in enumerate(body):
         fields = line.split()
         if len(fields) != cols:
@@ -69,11 +85,11 @@ def _raise_row_error(path, body, cols):
             np.loadtxt([line], dtype=float, comments=None)
         except ValueError as exc:
             raise ParseError(f"{path}: row {i + 1} contains a non-numeric entry") from exc
-    raise ParseError(f"{path}: the matrix body does not parse as {len(body)} x {cols} numbers")
+    raise ParseError(f"{path}: the matrix body does not parse as {rows} x {cols} numbers")
 
 
 def save_matrix(M, path) -> None:
-    """Write a real matrix in the ``rows cols`` header text format.
+    """Write a real matrix in the ``rows cols`` header text format, one row at a time.
 
     A complex matrix is written as its real part when every imaginary part is
     zero; any nonzero imaginary part raises ``InvalidInput``, and so does an
@@ -90,7 +106,8 @@ def save_matrix(M, path) -> None:
     row_fmt = " ".join(["%.17g"] * M.shape[1]) + "\n"
     with open(path, "w") as f:
         f.write(f"{M.shape[0]} {M.shape[1]}\n")
-        f.writelines(row_fmt % tuple(row) for row in M.tolist())
+        for row in M:
+            f.write(row_fmt % tuple(row.tolist()))
 
 
 def _complex_list(values) -> list:

@@ -149,25 +149,32 @@ def _coordinates(X1, X2, shift=None):
 
     Returns ``C1``, ``C2``, ``cs`` and ``Y2`` with ``Y1 = X1 - s 1^T = Q C1``,
     ``Y2 = X2 - s 1^T = Q C2`` and ``cs = Q^H s``. ``s`` is ``shift``, or 0
-    (``cs`` None) without one. The blocks of a tall shifted trajectory
-    (``X2[:, :-1]`` equals ``X1[:, 1:]`` and ``n >= TALL_FACTOR * (T + 1)``)
-    share T - 1 columns, so one Householder QR of ``[Y1, y_T, s]`` gives
-    (T+1)-row coordinates of both blocks and of ``s`` projected on their span,
-    and ``Q`` is never formed. Any other pair, and (R, n, T) stacks of pairs
-    (``shift`` then (R, n)), are their own coordinates (``Q = I``); wide ones
+    (``cs`` None) without one. The blocks of a shifted trajectory
+    (``X2[:, :-1]`` equals ``X1[:, 1:]``) share T - 1 columns. A tall one
+    (``n >= TALL_FACTOR * (T + 1)``) takes one Householder QR of
+    ``[Y1, y_T, s]``, which gives (T+1)-row coordinates of both blocks and of
+    ``s`` projected on their span, and ``Q`` is never formed. Any other pair,
+    and (R, n, T) stacks of pairs (``shift`` then (R, n)), are their own
+    coordinates (``Q = I``); a shifted one makes one shifted copy of its
+    trajectory and returns both blocks as views into it. Wide pairs
     (``n < T``) are factored through their conjugate transpose, so the one
-    SVD is T x n (see ``linalg._svd``). A fit
-    needs ``U_r^H`` only on vectors in the range of the data, where it equals
-    ``u_r^H Q^H`` with ``u_r`` from the SVD of ``C1``. A shift near the
-    column means makes the QR's rounding relative to the fluctuations rather
-    than to the offset.
+    SVD is T x n (see ``linalg._svd``). A fit needs ``U_r^H`` only on vectors
+    in the range of the data, where it equals ``u_r^H Q^H`` with ``u_r`` from
+    the SVD of ``C1``. A shift near the column means makes the QR's rounding
+    relative to the fluctuations rather than to the offset.
     """
     n, T = X1.shape[-2:]
-    if X1.ndim > 2 or n < TALL_FACTOR * (T + 1) or not np.array_equal(X2[:, :-1], X1[:, 1:]):
+    tall = X1.ndim == 2 and n >= TALL_FACTOR * (T + 1)
+    shifted = (tall or shift is not None) and np.array_equal(X2[..., :-1], X1[..., 1:])
+    if not shifted:
         if shift is None:
             return X1, X2, None, X2
         Y2 = X2 - shift[..., None]
         return X1 - shift[..., None], Y2, shift, Y2
+    if not tall:
+        Y = np.concatenate([X1, X2[..., -1:]], axis=-1, dtype=np.result_type(X1, X2, shift))
+        Y -= shift[..., None]
+        return Y[..., :-1], Y[..., 1:], shift, Y[..., 1:]
     if shift is None:
         Y = np.column_stack([X1, X2[:, -1]])
     else:
@@ -181,28 +188,36 @@ def _coordinates(X1, X2, shift=None):
 
 
 def _centered_coordinates(X1, X2, mu1):
-    """Coordinates of a pair shifted by ``mu1``, the column mean of ``X1``, then centered by their row means.
+    """Coordinates of a pair shifted by ``mu1``, the column mean of ``X1``, and the row means that center them.
 
     With ``Y = X - mu1 1^T = Q C`` (see ``_coordinates``) and ``d`` the row
-    means of ``C``, returns ``Cb1``, ``Cb2`` (``Cb = C - d 1^T``), ``c1``,
-    ``c2`` (``c = d + Q^H mu1``, the coordinates of the column means of
-    ``X``) and ``Y2``. ``Y = X - mu1 1^T`` is exact for entries near the
-    mean, so an offset much larger than the fluctuations costs no accuracy.
-    Takes one pair or (R, n, T) stacks, with ``mu1`` then (R, n).
+    means of ``C``, returns ``Cb1 = C1 - d1 1^T``, ``C2``, the pair
+    ``(d2, 1^T)`` whose product centers ``C2`` (see ``_reduce``; ``Cb2`` is
+    never formed), ``c1``, ``c2`` (``c = d + Q^H mu1``, the coordinates of
+    the column means of ``X``) and ``Y2``. ``Y = X - mu1 1^T`` is exact for
+    entries near the mean, so an offset much larger than the fluctuations
+    costs no accuracy. Takes one pair or (R, n, T) stacks, with ``mu1`` then
+    (R, n).
     """
     C1, C2, cmu, Y2 = _coordinates(X1, X2, shift=mu1)
     d1, d2 = C1.mean(axis=-1), C2.mean(axis=-1)
-    return C1 - d1[..., None], C2 - d2[..., None], d1 + cmu, d2 + cmu, Y2
+    centering = (d2[..., None], np.ones((1, C2.shape[-1])))
+    return C1 - d1[..., None], C2, centering, d1 + cmu, d2 + cmu, Y2
 
 
-def _reduce(C1, C2, r: int | None, rel_tol: float):
+def _reduce(C1, C2, r: int | None, rel_tol: float, removed=None):
     """SVD of ``C1`` and the reduced operator: ``u_r``, ``W = V_r Sigma_r^-1`` and ``Atilde = u_r^H C2 W``.
 
-    Takes the coordinates of one pair or an (R, m, T) stack of pairs. ``r``
-    defaults to the rank rule of a single pair; a stack needs ``r`` and raises
-    RankTooHigh if any slice has fewer than ``r`` singular values above
-    ``rel_tol * sigma_max`` (see ``_truncated_svd``). Raises InvalidInput when
-    ``Atilde`` is not finite (badly scaled data).
+    Takes the coordinates of one pair or an (R, m, T) stack of pairs. With
+    ``removed = (P, H)`` the fitted second block is ``C2 - P H`` for a rank-k
+    ``P H`` (a centering or a projection): ``Atilde`` is then
+    ``u_r^H (C2 W) - (u_r^H P)(H W)``, and ``C2 - P H`` is never formed.
+    ``H W`` vanishes up to rounding, but that rounding grows with the
+    condition number of ``C1``, so the second term is kept. ``r`` defaults to the rank rule
+    of a single pair; a stack needs ``r`` and raises RankTooHigh if any slice
+    has fewer than ``r`` singular values above ``rel_tol * sigma_max`` (see
+    ``_truncated_svd``). Raises InvalidInput when ``Atilde`` is not finite
+    (badly scaled data).
     """
     if r is None and C1.ndim > 2:
         raise InvalidInput("a stack of snapshot pairs needs an explicit rank")
@@ -211,23 +226,27 @@ def _reduce(C1, C2, r: int | None, rel_tol: float):
         raise InvalidInput("no singular value lies above rel_tol * sigma_max (is the data all zero?)")
 
     W = Vt.conj().swapaxes(-1, -2) * _inverse_singular_values(s)[..., None, :]  # V_r Sigma_r^-1, (R x) T x r
+    uh = u.conj().swapaxes(-1, -2)
     with np.errstate(over="ignore", invalid="ignore"):
-        Atilde = u.conj().swapaxes(-1, -2) @ (C2 @ W)
+        Atilde = uh @ (C2 @ W)
+        if removed is not None:
+            P, H = removed
+            Atilde = Atilde - (uh @ P) @ (H @ W)
     if not np.all(np.isfinite(Atilde)):
         raise InvalidInput(_OVERFLOW)
     return u, W, Atilde
 
 
-def _svd_fit(C1, C2, lift, x0, r: int | None, rel_tol: float, method: str):
+def _svd_fit(C1, C2, lift, x0, r: int | None, rel_tol: float, method: str, removed=None):
     """The one SVD of every fit: the model, ``u_r``, ``Z`` and ``Atilde = u_r^H C2 W``.
 
-    ``C1``, ``C2`` are coordinates of the fitted pair, ``lift(W)`` forms the
-    n-space ``Z = X2 W`` of that pair (``W = V_r Sigma_r^-1``) from the
+    ``C1`` and ``C2`` less ``removed`` (see ``_reduce``) are coordinates of the
+    fitted pair, ``lift(W)`` forms the n-space ``Z = X2 W`` of that pair (``W = V_r Sigma_r^-1``) from the
     caller's data, and ``x0`` is its first snapshot, for the amplitudes. The
     rank-``r`` operator ``X2 X1_r^+`` is ``Z U_r^H``; callers keep it factored,
     never n x n.
     """
-    u, W, Atilde = _reduce(C1, C2, r, rel_tol)
+    u, W, Atilde = _reduce(C1, C2, r, rel_tol, removed)
     with np.errstate(over="ignore", invalid="ignore"):
         Z = lift(W)
     if not np.all(np.isfinite(Z)):
@@ -257,9 +276,9 @@ def _eigenvalues(X1, X2, r: int, centered: bool = False) -> np.ndarray:
     ``centered_dmd(...).base`` at the same rank.
     """
     if centered:
-        C1, C2 = _centered_coordinates(X1, X2, X1.mean(axis=-1))[:2]
-    else:
-        C1, C2 = _coordinates(X1, X2)[:2]
+        C1, C2, centering = _centered_coordinates(X1, X2, X1.mean(axis=-1))[:3]
+        return np.linalg.eigvals(_reduce(C1, C2, r, EXACT_TOL, centering)[2])
+    C1, C2 = _coordinates(X1, X2)[:2]
     return np.linalg.eigvals(_reduce(C1, C2, r, EXACT_TOL)[2])
 
 
@@ -286,8 +305,10 @@ def centered_dmd(
     also gives ``c``, the coordinates of the column means, and ``Y2 = X2 -
     mu1 1^T``). The operator is ``Z U_r^H`` with ``Z = Y2 W``
     (``W = V_r Sigma_r^-1`` is orthogonal to the ones vector, so this is the
-    centered ``Xb2 W``) and ``Atilde = u_r^H Cb2 W``; the bias is
-    ``mu2 - Z (u_r^H c1)``. When no eigenvalue lies within ``UNIT_TOL`` of 1,
+    centered ``Xb2 W``) and ``Atilde = u_r^H Cb2 W``, formed as
+    ``u_r^H (C2 W) - (u_r^H d2)(1^T W)`` so that ``Cb2`` is never formed; a
+    wide shifted pair is fitted on one shifted copy of its trajectory. The
+    bias is ``mu2 - Z (u_r^H c1)``. When no eigenvalue lies within ``UNIT_TOL`` of 1,
     the fixed point is solved for as well, by Woodbury as an r x r solve:
     ``bias + Z (I_r - Atilde)^-1 (u_r^H c2 - Atilde u_r^H c1)``.
     """
@@ -295,10 +316,12 @@ def centered_dmd(
         raise InvalidInput("centered DMD needs at least 2 snapshot columns")
     with np.errstate(over="ignore", invalid="ignore"):
         mu1, mu2 = pair.X1.mean(axis=1), pair.X2.mean(axis=1)
-        Cb1, Cb2, c1, c2, Y2 = _centered_coordinates(pair.X1, pair.X2, mu1)
-    if not all(np.all(np.isfinite(M)) for M in (mu1, mu2, Cb1, Cb2)):
+        Cb1, C2, centering, c1, c2, Y2 = _centered_coordinates(pair.X1, pair.X2, mu1)
+    if not all(np.all(np.isfinite(M)) for M in (mu1, mu2, Cb1, C2, centering[0])):
         raise InvalidInput("centered snapshot matrices contain non-finite entries")
-    base, u, Z, Atilde = _svd_fit(Cb1, Cb2, lambda W: Y2 @ W, pair.X1[:, 0] - mu1, r, rel_tol, "centered")
+    base, u, Z, Atilde = _svd_fit(
+        Cb1, C2, lambda W: Y2 @ W, pair.X1[:, 0] - mu1, r, rel_tol, "centered", centering
+    )
     uc1 = u.conj().T @ c1
     bias = mu2 - Z @ uc1
     fixed_point = None
@@ -381,7 +404,8 @@ def frequency_subtracted_dmd(
     Right-multiplies both snapshot blocks by the orthogonal projector
     ``I - Q Qh`` that annihilates the row space of the Vandermonde matrix
     ``Lt`` over ``fixed_lambdas`` (see ``_frequency_basis``), fits exact DMD
-    on the coordinates of the projected pair, and recovers the forcing
+    on the coordinates of the projected pair (the second block projected only
+    in r-space, as ``(C2 W) - (C2 Q)(Qh W)``; see ``_reduce``), and recovers the forcing
     coefficient matrix ``B = (X2 - Z (u_r^H C1)) Lt^+``, with ``u_r`` and
     ``Z = X2 W - (X2 Q)(Qh W)`` from that fit. ``Qh W`` vanishes up to
     rounding, but when the removed content dominates ``X2`` its second term
@@ -401,12 +425,13 @@ def frequency_subtracted_dmd(
     X2Q = pair.X2 @ Q
     base, u, Z, _ = _svd_fit(
         C1 - (C1 @ Q) @ Qh,
-        C2 - (C2 @ Q) @ Qh,
+        C2,
         lambda W: pair.X2 @ W - X2Q @ (Qh @ W),
         pair.X1[:, 0] - (pair.X1 @ Q) @ Qh[:, 0],
         r,
         rel_tol,
         "freq_subtracted",
+        (C2 @ Q, Qh),
     )
     B = (pair.X2 - Z @ (u.conj().T @ C1)) @ Lt_pinv
     return FrequencyModel(base, lams, B)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import IntegrationOverflow, InvalidInput
+from .linalg import _svd, pinv
 
 PLACEMENTS = ("unit_annulus", "mixed_stable_unstable", "prescribed")
 
@@ -69,7 +70,7 @@ class LinearSystemSpec:
         if self.r == 0:
             return np.zeros((self.n, self.n))
         V = self.eigenvector_matrix
-        A = (V * self.eigenvalues[None, :]) @ np.linalg.pinv(V)
+        A = (V * self.eigenvalues[None, :]) @ pinv(V)
         if np.max(np.abs(A.imag)) > 1e-9 * max(np.max(np.abs(A.real)), 1.0):
             raise InvalidInput("eigen-structure does not reconstruct a real matrix")
         return A.real
@@ -140,7 +141,8 @@ def _draw_eigenvectors(rng, n, lams):
                 col = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2)
                 V[:, i], V[:, j] = col, np.conj(col)
                 done[i] = done[j] = True
-        if np.linalg.cond(V) <= MAX_EIGVEC_COND:
+        s = _svd(V, compute_uv=False)
+        if s[0] <= MAX_EIGVEC_COND * s[-1]:
             return V
 
 

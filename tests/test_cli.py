@@ -1,10 +1,12 @@
 """Tests for the command-line interface and the experiment runner."""
 
 import ast
+import csv
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 
 from cdmd import (
+    EXPERIMENTS,
     ExperimentConfig,
     InvalidInput,
     LorenzParams,
@@ -23,8 +26,19 @@ from cdmd import (
     run_experiment,
     split_snapshots,
 )
+from cdmd import experiments
 from cdmd.cli import load_matrix, main, save_matrix
 from cdmd.dmd import COMPANION_MAX_T
+
+
+def _traced_peak(fn, *args):
+    """Peak bytes ``fn(*args)`` allocates while tracemalloc traces (NumPy arrays included)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture
@@ -44,6 +58,36 @@ class TestMatrixIO:
 
     def test_golden_fixture(self, golden_file):
         assert np.array_equal(load_matrix(golden_file), [[1, 3, 7, 15], [1, 5, 17, 53]])
+
+    @pytest.mark.parametrize(
+        "text",
+        ["2 2\n1 2\n\n \t \n3 4\n", "2 2\r\n1 2\r\n3 4\r\n", "\n\n2 2\n\n1 2\n3 4"],
+        ids=["blank_lines_between_rows", "crlf", "leading_blank_lines_no_final_newline"],
+    )
+    def test_layout_variants(self, tmp_path, text):
+        path = tmp_path / "m.txt"
+        path.write_bytes(text.encode())
+        assert np.array_equal(load_matrix(path), [[1, 2], [3, 4]])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text", ["2 3\n", "2 3\n\n  \n"], ids=["header_only", "header_and_blank_lines"])
+    def test_header_only_file(self, tmp_path, text):
+        # No body reaches np.loadtxt, which would warn about an empty input.
+        path = tmp_path / "m.txt"
+        path.write_text(text)
+        with pytest.raises(ParseError, match="header promises 2 rows but file has 0"):
+            load_matrix(path)
+
+    def test_io_holds_no_copy_of_the_text(self, tmp_path):
+        # A 64 x 1000 recording: the text is parsed as it is read and written
+        # one row at a time. Holding the whole text took 6.3 x X1.nbytes to read
+        # and 4.1 x to write.
+        M = np.random.default_rng(0).standard_normal((64, 1001))
+        block = M[:, :-1].nbytes
+        path = tmp_path / "m.txt"
+        assert _traced_peak(save_matrix, M, path) < 0.5 * block
+        assert _traced_peak(load_matrix, path) < 2 * block
+        assert np.array_equal(load_matrix(path), M)
 
     def test_row_count_mismatch(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -149,10 +193,15 @@ def test_module_imports_are_used(path):
     assert not [f"{path.name}:{line} {name}" for name, line in bound.items() if name not in read]
 
 
+#: NumPy functions that run an SVD of their argument.
+SVD_FUNCTIONS = {"svd", "pinv", "cond", "matrix_rank"}
+
+
 @pytest.mark.parametrize("path", SRC_MODULES, ids=lambda p: p.name)
 def test_svd_only_through_linalg_svd(path):
     # Every SVD goes through linalg._svd, which factors a wide matrix through its
-    # conjugate transpose: no module names an ``svd`` anywhere else.
+    # conjugate transpose: no module names an ``svd`` anywhere else, nor calls
+    # or imports from NumPy another function that runs one.
     tree = ast.parse(path.read_text())
     inside = set()
     if path.name == "linalg.py":
@@ -161,8 +210,11 @@ def test_svd_only_through_linalg_svd(path):
     uses = [
         node
         for node in ast.walk(tree)
-        if (isinstance(node, ast.Attribute) and node.attr == "svd")
-        or (isinstance(node, ast.ImportFrom) and any(a.name == "svd" for a in node.names))
+        if (isinstance(node, ast.Attribute) and node.attr in SVD_FUNCTIONS)
+        or (
+            isinstance(node, ast.ImportFrom)
+            and any(a.name == "svd" or (node.level == 0 and a.name in SVD_FUNCTIONS) for a in node.names)
+        )
     ]
     assert not [f"{path.name}:{node.lineno}" for node in uses if node not in inside]
     assert path.name != "linalg.py" or any(node in inside for node in uses)
@@ -274,6 +326,30 @@ class TestExperiments:
         header = "t,x,y,z,x_dmd,y_dmd,z_dmd,x_centered,y_centered,z_centered"
         expected = "".join(line + "\r\n" for line in [header, *(",".join(str(v) for v in row) for row in table)])
         assert (tmp_path / "fig6_reconstruction.csv").read_bytes() == expected.encode()
+
+    def test_csv_bytes_match_csv_writer(self, tmp_path, golden_file, monkeypatch):
+        # Every CSV an experiment writes, at seed 0, has the bytes csv.writer
+        # gives for the same header and rows.
+        written = []
+        write_csv = experiments._write_csv
+
+        def spy(path, header, rows):
+            rows = list(rows)
+            written.append((path, header, rows))
+            write_csv(path, header, rows)
+
+        monkeypatch.setattr(experiments, "_write_csv", spy)
+        for name in EXPERIMENTS:
+            overrides = {"input": str(golden_file)} if name == "custom" else {}
+            run_experiment(ExperimentConfig(name, overrides=overrides, output_dir=tmp_path / name))
+        assert len({path.name for path, _, _ in written}) == len(written) == 12
+        for path, header, rows in written:
+            expected = tmp_path / "expected.csv"
+            with open(expected, "w", newline="") as f:
+                writer = csv.writer(f)
+                writer.writerow(header)
+                writer.writerows(rows)
+            assert path.read_bytes() == expected.read_bytes(), path.name
 
     def test_custom_requires_input(self, tmp_path, capsys):
         assert main(["experiment", "custom", "--out", str(tmp_path)]) == 1

@@ -268,6 +268,19 @@ class TestCenteredDmd:
         with pytest.raises(InvalidInput, match="non-finite"):
             centered_dmd(split_snapshots(X))
 
+    def test_wide_shifted_fit_holds_one_trajectory_copy(self):
+        # One shifted n x (T+1) copy of the trajectory, the centered first block
+        # and the SVD's T x n factor: about 3 blocks of X1's size. Shifted and
+        # centered copies of both blocks took 4.2.
+        pair = split_snapshots(np.random.default_rng(0).standard_normal((64, 5001)))
+        tracemalloc.start()
+        try:
+            centered_dmd(pair, r=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * pair.X1.nbytes
+
     def test_256x256_video_fixed_point_is_background(self):
         # n = 65536: a dense n x n operator alone would take 34 GB.
         pair = split_snapshots(synth_video(256, 256, 48, seed=0))
@@ -387,6 +400,41 @@ class TestCompanionDmd:
         comp = companion_dmd(X)
         dmd = exact_dmd(pair)
         assert match_spectra(comp.companion_eigenvalues, dmd.eigenvalues) < 1e-8
+
+
+class TestLargeRemovedTerm:
+    """Fits whose second block carries a large term that the fit removes in r-space."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("fit", ["centered", "freq_subtracted"])
+    def test_eigenvalues_of_the_operator(self, fit, seed):
+        # X2 = A X1 + b h^T with |b| about 1e3, not a shifted trajectory:
+        # centering removes b 1^T and frequency subtraction b cos(0.7 t). The
+        # fits take u_r^H (C2 - P H) W as u_r^H (C2 W) - (u_r^H P)(H W). H W
+        # vanishes only up to rounding amplified by cond(X1) = 1e6, so without
+        # the second term, or with its sign flipped, the eigenvalues miss this
+        # bound in 4 or 5 of the 6 cases, by up to 82 x; with it they stay
+        # below 1e-3 of it.
+        rng = np.random.default_rng(seed)
+        n, T = 6, 40
+        lams = rng.uniform(0.3, 0.9, n)
+        V = rng.standard_normal((n, n))
+        A = V @ np.diag(lams) @ np.linalg.inv(V)
+        X1 = np.linalg.qr(rng.standard_normal((n, n)))[0] * np.logspace(0, -6, n) @ rng.standard_normal((n, T))
+        b = 1e3 * rng.standard_normal(n)
+        if fit == "centered":
+            model = centered_dmd(SnapshotPair(X1, A @ X1 + b[:, None])).base
+            X1_fit = X1 - X1.mean(axis=1, keepdims=True)
+        else:
+            t = np.arange(T)
+            pair = SnapshotPair(X1, A @ X1 + np.outer(b, np.cos(0.7 * t)))
+            model = frequency_subtracted_dmd(pair, [np.exp(0.7j), np.exp(-0.7j)]).base
+            Q = np.linalg.qr(np.column_stack([np.cos(0.7 * t), np.sin(0.7 * t)]))[0]
+            X1_fit = X1 - (X1 @ Q) @ Q.T
+        sigma_min = np.linalg.svd(X1_fit, compute_uv=False)[-1]
+        bound = 1e-13 * np.linalg.cond(V) * np.linalg.norm(b) * np.sqrt(T) / sigma_min
+        assert model.rank_used == n
+        assert match_spectra(model.eigenvalues, lams) <= bound
 
 
 class TestFrequencySubtractedDmd:

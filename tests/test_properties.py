@@ -90,12 +90,15 @@ def wide_matrices():
 
 class TestWideSvd:
     @given(wide_matrices())
+    @example(np.array([[2.22507386e-313 + 0j, 2.22507386e-313 + 0j]]))  # 1 / peak overflows
     @settings(max_examples=200, deadline=None)
     def test_factors_reproduce_the_matrix(self, M):
         # A wide M is factored through M^H; the factors returned are those of M.
-        # Each slice is scaled to a largest entry of 1, so no norm underflows.
-        peak = np.max(np.abs(M), axis=(-2, -1), keepdims=True)
-        M = M / np.where(peak > 0, peak, 1.0)
+        # Each slice is scaled by the power of two that brings its largest entry
+        # into [0.5, 1), so no norm underflows; the scaling is exact, and for a
+        # subnormal peak it is not the reciprocal, which overflows.
+        e = -np.frexp(np.max(np.abs(M), axis=(-2, -1), keepdims=True))[1]
+        M = np.ldexp(M.real, e) + 1j * np.ldexp(M.imag, e) if np.iscomplexobj(M) else np.ldexp(M, e)
         U, s, Vt = _truncated_svd(M, EXACT_TOL)
         r = s.shape[-1]
         s_ref = np.linalg.svd(M, compute_uv=False)
