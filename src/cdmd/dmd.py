@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InvalidInput
-from .linalg import EXACT_TOL, _inverse_singular_values, _truncated_svd, pinv, vandermonde
+from .linalg import EXACT_TOL, _inverse_singular_values, _one_blas_thread, _truncated_svd, pinv, vandermonde
 
 #: Eigenvalues within this distance of 1 count as the background mode.
 UNIT_TOL = 1e-6
@@ -24,10 +24,11 @@ ZERO_TOL_FACTOR = 1e-10
 #: A shifted pair with ``n >= TALL_FACTOR * (T + 1)`` rows is fitted in the
 #: coordinates of one Householder QR of its trajectory (see ``_coordinates``).
 #: The QR costs about as much as an SVD without singular vectors, so it pays
-#: once ``n`` is about twice ``T + 1``. At T = 47 (NumPy 2.4, OpenBLAS, 2
-#: cores) the QR and the (T+1) x T SVD take 0.67 ms against 0.55 ms for the
-#: n x T SVD at n = 60, break even at n = 100 to 150, and take 6 ms against
-#: 11 ms at n = 4096.
+#: once ``n`` is about twice ``T + 1``. At T = 47 (NumPy 2.4, OpenBLAS on
+#: one thread, as such a fit runs; see ``linalg.ONE_THREAD_MAX_ENTRIES``) the
+#: QR and the (T+1) x T SVD take 0.53 to 0.65 ms against 0.50 to 0.61 ms for
+#: the n x T SVD at n = 60 to 150, 0.61 ms against 0.68 ms at n = 200, and
+#: 4.0 ms against 7.2 ms at n = 4096.
 TALL_FACTOR = 2
 
 #: ``companion_dmd`` refuses trajectories with more snapshot pairs than this.
@@ -275,11 +276,12 @@ def _eigenvalues(X1, X2, r: int, centered: bool = False) -> np.ndarray:
     order, the ``eigenvalues`` of ``exact_dmd`` or of
     ``centered_dmd(...).base`` at the same rank.
     """
-    if centered:
-        C1, C2, centering = _centered_coordinates(X1, X2, X1.mean(axis=-1))[:3]
-        return np.linalg.eigvals(_reduce(C1, C2, r, EXACT_TOL, centering)[2])
-    C1, C2 = _coordinates(X1, X2)[:2]
-    return np.linalg.eigvals(_reduce(C1, C2, r, EXACT_TOL)[2])
+    with _one_blas_thread(X1):
+        if centered:
+            C1, C2, centering = _centered_coordinates(X1, X2, X1.mean(axis=-1))[:3]
+            return np.linalg.eigvals(_reduce(C1, C2, r, EXACT_TOL, centering)[2])
+        C1, C2 = _coordinates(X1, X2)[:2]
+        return np.linalg.eigvals(_reduce(C1, C2, r, EXACT_TOL)[2])
 
 
 def exact_dmd(pair: SnapshotPair, r: int | None = None, rel_tol: float = EXACT_TOL) -> DmdModel:
@@ -289,8 +291,9 @@ def exact_dmd(pair: SnapshotPair, r: int | None = None, rel_tol: float = EXACT_T
     modes (projection of the reduced eigenvectors through ``X2``), scaled to
     unit norm; near-zero eigenvalues get zero modes.
     """
-    C1, C2, _, _ = _coordinates(pair.X1, pair.X2)
-    return _svd_fit(C1, C2, lambda W: pair.X2 @ W, pair.X1[:, 0], r, rel_tol, "exact")[0]
+    with _one_blas_thread(pair.X1):
+        C1, C2, _, _ = _coordinates(pair.X1, pair.X2)
+        return _svd_fit(C1, C2, lambda W: pair.X2 @ W, pair.X1[:, 0], r, rel_tol, "exact")[0]
 
 
 def centered_dmd(
@@ -314,19 +317,20 @@ def centered_dmd(
     """
     if pair.T < 2:
         raise InvalidInput("centered DMD needs at least 2 snapshot columns")
-    with np.errstate(over="ignore", invalid="ignore"):
-        mu1, mu2 = pair.X1.mean(axis=1), pair.X2.mean(axis=1)
-        Cb1, C2, centering, c1, c2, Y2 = _centered_coordinates(pair.X1, pair.X2, mu1)
-    if not all(np.all(np.isfinite(M)) for M in (mu1, mu2, Cb1, C2, centering[0])):
-        raise InvalidInput("centered snapshot matrices contain non-finite entries")
-    base, u, Z, Atilde = _svd_fit(
-        Cb1, C2, lambda W: Y2 @ W, pair.X1[:, 0] - mu1, r, rel_tol, "centered", centering
-    )
-    uc1 = u.conj().T @ c1
-    bias = mu2 - Z @ uc1
-    fixed_point = None
-    if np.min(np.abs(base.eigenvalues - 1.0)) > UNIT_TOL:
-        fixed_point = bias + Z @ np.linalg.solve(np.eye(base.rank_used) - Atilde, u.conj().T @ c2 - Atilde @ uc1)
+    with _one_blas_thread(pair.X1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            mu1, mu2 = pair.X1.mean(axis=1), pair.X2.mean(axis=1)
+            Cb1, C2, centering, c1, c2, Y2 = _centered_coordinates(pair.X1, pair.X2, mu1)
+        if not all(np.all(np.isfinite(M)) for M in (mu1, mu2, Cb1, C2, centering[0])):
+            raise InvalidInput("centered snapshot matrices contain non-finite entries")
+        base, u, Z, Atilde = _svd_fit(
+            Cb1, C2, lambda W: Y2 @ W, pair.X1[:, 0] - mu1, r, rel_tol, "centered", centering
+        )
+        uc1 = u.conj().T @ c1
+        bias = mu2 - Z @ uc1
+        fixed_point = None
+        if np.min(np.abs(base.eigenvalues - 1.0)) > UNIT_TOL:
+            fixed_point = bias + Z @ np.linalg.solve(np.eye(base.rank_used) - Atilde, u.conj().T @ c2 - Atilde @ uc1)
     return CenteredDmdModel(base, bias, fixed_point)
 
 
@@ -409,7 +413,8 @@ def frequency_subtracted_dmd(
     coefficient matrix ``B = (X2 - Z (u_r^H C1)) Lt^+``, with ``u_r`` and
     ``Z = X2 W - (X2 Q)(Qh W)`` from that fit. ``Qh W`` vanishes up to
     rounding, but when the removed content dominates ``X2`` its second term
-    is what keeps ``Z`` (and ``B``) accurate.
+    is what keeps ``Z`` (and ``B``) accurate. ``B`` is formed as
+    ``X2 Lt^+ - Z ((u_r^H C1) Lt^+)``, so the n x T difference is never formed.
     """
     lams = np.atleast_1d(np.asarray(fixed_lambdas, dtype=complex))
     if lams.size == 0:
@@ -420,20 +425,23 @@ def frequency_subtracted_dmd(
         raise InvalidInput(f"need fewer fixed frequencies ({lams.size}) than snapshots ({pair.T})")
 
     real = not (np.iscomplexobj(pair.X1) or np.iscomplexobj(pair.X2))
-    Q, Qh, Lt_pinv = _frequency_basis(lams, pair.T, real)
-    C1, C2, _, _ = _coordinates(pair.X1, pair.X2)
-    X2Q = pair.X2 @ Q
-    base, u, Z, _ = _svd_fit(
-        C1 - (C1 @ Q) @ Qh,
-        C2,
-        lambda W: pair.X2 @ W - X2Q @ (Qh @ W),
-        pair.X1[:, 0] - (pair.X1 @ Q) @ Qh[:, 0],
-        r,
-        rel_tol,
-        "freq_subtracted",
-        (C2 @ Q, Qh),
-    )
-    B = (pair.X2 - Z @ (u.conj().T @ C1)) @ Lt_pinv
+    with _one_blas_thread(pair.X1):
+        Q, Qh, Lt_pinv = _frequency_basis(lams, pair.T, real)
+        C1, C2, _, _ = _coordinates(pair.X1, pair.X2)
+        C1Q, C2Q = C1 @ Q, C2 @ Q
+        # A pair that is not tall is its own coordinates (Q = I in _coordinates).
+        X1Q, X2Q = (C1Q, C2Q) if C1 is pair.X1 else (pair.X1 @ Q, pair.X2 @ Q)
+        base, u, Z, _ = _svd_fit(
+            C1 - C1Q @ Qh,
+            C2,
+            lambda W: pair.X2 @ W - X2Q @ (Qh @ W),
+            pair.X1[:, 0] - X1Q @ Qh[:, 0],
+            r,
+            rel_tol,
+            "freq_subtracted",
+            (C2Q, Qh),
+        )
+        B = pair.X2 @ Lt_pinv - Z @ ((u.conj().T @ C1) @ Lt_pinv)
     return FrequencyModel(base, lams, B)
 
 

@@ -500,6 +500,20 @@ class TestFrequencySubtractedDmd:
             sub = frequency_subtracted_dmd(pair, [0.5, 0.25], r=2)
         assert sub.base.rank_used == 2 and np.all(np.isfinite(sub.B))
 
+    def test_wide_fit_holds_no_complex_copy_of_the_data(self):
+        # B = X2 Lt^+ - Z ((u_r^H C1) Lt^+) makes one complex copy of X2 for
+        # the product with the complex Lt^+, not of the n x T difference as
+        # well; the fit reuses C1 Q and C2 Q. 3.1 blocks of X1's size before.
+        pair = split_snapshots(np.random.default_rng(0).standard_normal((64, 5001)))
+        lam = np.exp(2j * np.pi * 60 / 1000)
+        tracemalloc.start()
+        try:
+            frequency_subtracted_dmd(pair, [lam, lam.conjugate()], r=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * pair.X1.nbytes
+
     def test_validation(self):
         pair = split_snapshots(np.arange(8.0).reshape(2, 4))
         with pytest.raises(InvalidInput):

@@ -1,8 +1,15 @@
 """Tests for the dense linear-algebra substrate."""
 
+import dataclasses
+import os
 import re
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -233,3 +240,148 @@ class TestUnitEigenvalueCertificate:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(InvalidInput):
             unit_eigenvalue_certificate(np.eye(2), np.eye(2), tol=1e-8)
+
+
+def _same(a, b):
+    """Bitwise equality of two fit results (dataclasses of arrays, or arrays)."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(_same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+    return np.array_equal(a, b)
+
+
+needs_openblas = pytest.mark.skipif(
+    linalg._openblas_thread_functions() is None, reason="NumPy's bundled OpenBLAS not found"
+)
+
+
+@needs_openblas
+class TestOneBlasThread:
+    """Small fits run on one OpenBLAS thread and give the caller's count back."""
+
+    FITS = {
+        "exact": lambda p: exact_dmd(p),
+        "centered": lambda p: centered_dmd(p),
+        "freq_subtracted": lambda p: frequency_subtracted_dmd(p, [1.0]),
+        "eigenvalues": lambda p: _eigenvalues(p.X1, p.X2, r=3),
+        "stacked_centered": lambda p: _eigenvalues(np.stack([p.X1, p.X1]), np.stack([p.X2, p.X2]), r=3, centered=True),
+    }
+
+    @pytest.fixture
+    def threads(self):
+        """The BLAS thread count, set to 2 for the test so that a lowering shows."""
+        get, set_ = linalg._openblas_thread_functions()
+        before = get()
+        set_(2)
+        try:
+            yield get
+        finally:
+            set_(before)
+
+    def test_import_loads_no_library_and_starts_no_thread(self):
+        code = (
+            "import threading, cdmd; "
+            "assert cdmd.linalg._openblas_thread_functions.cache_info().currsize == 0; "
+            "assert threading.active_count() == 1"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+    @staticmethod
+    def _pair(n=12, T=40, seed=0):
+        return split_snapshots(np.random.default_rng(seed).standard_normal((n, T + 1)))
+
+    @staticmethod
+    def _record_svd_threads(monkeypatch, get):
+        seen = []
+        svd = linalg._svd
+
+        def recording(M, compute_uv=True):
+            seen.append(get())
+            return svd(M, compute_uv)
+
+        monkeypatch.setattr(linalg, "_svd", recording)
+        return seen
+
+    @pytest.mark.parametrize("fit", FITS)
+    def test_small_fit_sees_one_thread(self, fit, threads, monkeypatch):
+        seen = self._record_svd_threads(monkeypatch, threads)
+        self.FITS[fit](self._pair())
+        assert seen and set(seen) == {1}
+        assert threads() == 2
+
+    @pytest.mark.parametrize(
+        "fit, error",
+        [
+            (lambda p: exact_dmd(p, r=50), RankTooHigh),
+            (lambda p: centered_dmd(p, r=0), InvalidInput),
+            (lambda p: frequency_subtracted_dmd(p, [1.0], r=50), RankTooHigh),
+            (lambda p: frequency_subtracted_dmd(p, [1e10]), InvalidInput),
+            (lambda p: _eigenvalues(p.X1, p.X2, r=50, centered=True), RankTooHigh),
+        ],
+    )
+    def test_count_restored_after_raise(self, fit, error, threads):
+        with pytest.raises(error):
+            fit(self._pair())
+        assert threads() == 2
+
+    def test_pair_above_the_limit_runs_at_the_callers_count(self, threads, monkeypatch):
+        seen = self._record_svd_threads(monkeypatch, threads)
+        T = 40
+        n = linalg.ONE_THREAD_MAX_ENTRIES // T
+        for rows in (n, n + 1):  # n * T entries are at the limit
+            pair = split_snapshots(np.ones((rows, T + 1)))
+            _eigenvalues(pair.X1, pair.X2, r=1)
+        assert seen == [1, 2]
+
+    @pytest.mark.parametrize("fit", FITS)
+    def test_results_identical_without_the_library(self, fit, threads, monkeypatch):
+        # Without the library the gate does nothing: the fit runs at the
+        # caller's 2 threads, which OpenBLAS does not split a pair this small over.
+        pair = self._pair(seed=1)
+        gated = self.FITS[fit](pair)
+        monkeypatch.setattr(linalg, "_openblas_thread_functions", lambda: None)
+        seen = self._record_svd_threads(monkeypatch, threads)
+        ungated = self.FITS[fit](pair)
+        assert set(seen) == {2}
+        assert _same(gated, ungated)
+
+    def test_concurrent_fits_share_one_lowering(self, threads, monkeypatch):
+        # More Python threads than cores, switching as often as the interpreter
+        # allows and around every get and set of the count: every fit must see
+        # one thread, and the last to leave must restore the caller's count.
+        seen = self._record_svd_threads(monkeypatch, threads)
+        functions = linalg._openblas_thread_functions()
+
+        def yielding(f):
+            def call(*args):
+                time.sleep(0)
+                return f(*args)
+
+            return call
+
+        monkeypatch.setattr(linalg, "_openblas_thread_functions", lambda: tuple(map(yielding, functions)))
+        pairs = [self._pair(seed=k) for k in range(8)]
+        errors = []
+
+        def work(pair):
+            try:
+                for fit in self.FITS.values():
+                    for _ in range(5):
+                        fit(pair)
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work, args=(pair,)) for pair in pairs]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert errors == []
+        assert len(seen) >= 8 * 5 * len(self.FITS) and set(seen) == {1}
+        assert threads() == 2
