@@ -25,7 +25,7 @@ ZERO_TOL_FACTOR = 1e-10
 #: coordinates of one Householder QR of its trajectory (see ``_coordinates``).
 #: The QR costs about as much as an SVD without singular vectors, so it pays
 #: once ``n`` is about twice ``T + 1``. At T = 47 (NumPy 2.4, OpenBLAS on
-#: one thread, as such a fit runs; see ``linalg.ONE_THREAD_MAX_ENTRIES``) the
+#: one thread, as every fit runs; see ``linalg._one_blas_thread``) the
 #: QR and the (T+1) x T SVD take 0.53 to 0.65 ms against 0.50 to 0.61 ms for
 #: the n x T SVD at n = 60 to 150, 0.61 ms against 0.68 ms at n = 200, and
 #: 4.0 ms against 7.2 ms at n = 4096.
@@ -276,7 +276,7 @@ def _eigenvalues(X1, X2, r: int, centered: bool = False) -> np.ndarray:
     order, the ``eigenvalues`` of ``exact_dmd`` or of
     ``centered_dmd(...).base`` at the same rank.
     """
-    with _one_blas_thread(X1):
+    with _one_blas_thread():
         if centered:
             C1, C2, centering = _centered_coordinates(X1, X2, X1.mean(axis=-1))[:3]
             return np.linalg.eigvals(_reduce(C1, C2, r, EXACT_TOL, centering)[2])
@@ -291,7 +291,7 @@ def exact_dmd(pair: SnapshotPair, r: int | None = None, rel_tol: float = EXACT_T
     modes (projection of the reduced eigenvectors through ``X2``), scaled to
     unit norm; near-zero eigenvalues get zero modes.
     """
-    with _one_blas_thread(pair.X1):
+    with _one_blas_thread():
         C1, C2, _, _ = _coordinates(pair.X1, pair.X2)
         return _svd_fit(C1, C2, lambda W: pair.X2 @ W, pair.X1[:, 0], r, rel_tol, "exact")[0]
 
@@ -317,7 +317,7 @@ def centered_dmd(
     """
     if pair.T < 2:
         raise InvalidInput("centered DMD needs at least 2 snapshot columns")
-    with _one_blas_thread(pair.X1):
+    with _one_blas_thread():
         with np.errstate(over="ignore", invalid="ignore"):
             mu1, mu2 = pair.X1.mean(axis=1), pair.X2.mean(axis=1)
             Cb1, C2, centering, c1, c2, Y2 = _centered_coordinates(pair.X1, pair.X2, mu1)
@@ -425,11 +425,12 @@ def frequency_subtracted_dmd(
         raise InvalidInput(f"need fewer fixed frequencies ({lams.size}) than snapshots ({pair.T})")
 
     real = not (np.iscomplexobj(pair.X1) or np.iscomplexobj(pair.X2))
-    with _one_blas_thread(pair.X1):
+    with _one_blas_thread():
         Q, Qh, Lt_pinv = _frequency_basis(lams, pair.T, real)
         C1, C2, _, _ = _coordinates(pair.X1, pair.X2)
         C1Q, C2Q = C1 @ Q, C2 @ Q
-        # A pair that is not tall is its own coordinates (Q = I in _coordinates).
+        # Where _coordinates returned the pair itself (it took no QR), X1 @ Q and
+        # X2 @ Q are the products just formed.
         X1Q, X2Q = (C1Q, C2Q) if C1 is pair.X1 else (pair.X1 @ Q, pair.X2 @ Q)
         base, u, Z, _ = _svd_fit(
             C1 - C1Q @ Qh,

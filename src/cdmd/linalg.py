@@ -3,8 +3,8 @@
 The rank rule that every truncation shares, SVD-backed pseudoinverse,
 effective-rank estimation, rectangular Vandermonde construction, the
 closed-form pseudoinverse of column-centered data, the certificate for a
-unit eigenvalue in the fitted propagator, and the gate that runs small fits
-on one BLAS thread.
+unit eigenvalue in the fitted propagator, and the gate that runs fits on one
+BLAS thread.
 """
 
 from __future__ import annotations
@@ -24,30 +24,6 @@ from .exceptions import InvalidInput, RankTooHigh
 EXACT_TOL = 1e-12
 
 RANK_METHODS = ("exact_tol", "optimal_hard_threshold")
-
-#: A fit whose snapshot block has at most this many entries (``n * T``, per
-#: slice of an (R, n, T) stack) runs on one OpenBLAS thread (see
-#: ``_one_blas_thread``). Median wall time in ms of one fit of a random
-#: full-rank pair on 1 / 2 threads (NumPy 2.4, OpenBLAS 0.3.31, 2 cores;
-#: ``frequency_subtracted_dmd`` at lambdas 1 and -1):
-#:
-#:     n x T        entries  exact_dmd    centered_dmd  freq-subtracted
-#:     4096 x 48       197k    49 / 49       49 / 52        48 / 55
-#:     64 x 4999       320k    23 / 30       37 / 42        52 / 57
-#:     8192 x 48       393k    95 / 90       91 / 93        94 / 92
-#:     80 x 4999       400k    36 / 48       41 / 54        46 / 55
-#:     10240 x 40      410k    87 / 81       89 / 98        83 / 93
-#:     640 x 640       410k  1452 / 1367   1480 / 1497    1523 / 1469
-#:     112 x 4999      560k    65 / 71       81 / 104       92 / 85
-#:     12288 x 48      590k   144 / 126     169 / 152      143 / 140
-#:     128 x 4999      640k   115 / 96      121 / 102      131 / 126
-#:     16384 x 49      803k   223 / 197     231 / 210      223 / 203
-#:     50000 x 64      3.2M  1690 / 1429   1843 / 1570    1988 / 1597
-#:
-#: Tall and square pairs break even at about 400k entries, wide ones at 560k
-#: to 640k; below that one thread is faster, and it also leaves the second
-#: core idle, where OpenBLAS's worker spins for about 0.1 s after each call.
-ONE_THREAD_MAX_ENTRIES = 400_000
 
 
 @functools.cache
@@ -72,57 +48,48 @@ def _openblas_thread_functions():
     return None
 
 
-class _OneThreadGate:
-    """Holds OpenBLAS at one thread while any small fit runs, then restores the caller's count.
+_THREADS_LOCK = threading.Lock()
+_threads_depth = 0
+_threads_saved = 1
 
-    The count is process-wide, so nested and concurrent fits share one
-    lowering: the first to enter saves the count and sets 1, the last to leave
-    sets the saved count again. The lock orders these against each other.
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Holds NumPy's bundled OpenBLAS at one thread while a fit runs, then restores the caller's count.
+
+    Every fit runs inside it. On tall snapshot blocks of up to about 200k
+    entries (``n * T``) and wide ones of up to about 480k, which covers the
+    fits of the benchmark and the experiments, one thread is about as fast
+    as two or faster, and it leaves no second core spinning, as OpenBLAS's
+    idle worker does for about 0.1 s after each call. Larger fits can take
+    up to about 25% longer in wall time on one thread (see the README's
+    "Performance" section). The count is process-wide, so nested and
+    concurrent fits share one lowering: the first to enter saves the count
+    and sets 1, the last to leave sets the saved count again, under one
+    lock. The count is only ever lowered, so ``OPENBLAS_NUM_THREADS`` still
+    caps it; while a fit runs, BLAS calls from other Python threads also run
+    on one thread. Without that library (a NumPy built against another
+    BLAS) this does nothing.
     """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._depth = 0
-        self._saved = 1
-
-    @contextlib.contextmanager
-    def held(self):
-        functions = _openblas_thread_functions()
-        if functions is None:
-            yield
-            return
-        get, set_ = functions
-        with self._lock:
-            if self._depth == 0:
-                self._saved = get()
-                if self._saved > 1:
-                    set_(1)
-            self._depth += 1
-        try:
-            yield
-        finally:
-            with self._lock:
-                self._depth -= 1
-                if self._depth == 0 and self._saved > 1:
-                    set_(self._saved)
-
-
-_ONE_THREAD = _OneThreadGate()
-
-
-def _one_blas_thread(X1):
-    """Context for a fit of the snapshot block ``X1`` (n x T, or an (R, n, T) stack).
-
-    A block of at most ``ONE_THREAD_MAX_ENTRIES`` entries per slice is fitted
-    with NumPy's OpenBLAS on one thread, which is faster there than two and
-    leaves no second core spinning after each call; any other block, or a
-    NumPy without that library, runs at the caller's count. The count is
-    only ever lowered, so ``OPENBLAS_NUM_THREADS`` still caps it; while a small
-    fit runs, BLAS calls from other Python threads also run on one thread.
-    """
-    if X1.shape[-2] * X1.shape[-1] > ONE_THREAD_MAX_ENTRIES:
-        return contextlib.nullcontext()
-    return _ONE_THREAD.held()
+    global _threads_depth, _threads_saved
+    functions = _openblas_thread_functions()
+    if functions is None:
+        yield
+        return
+    get, set_ = functions
+    with _THREADS_LOCK:
+        if _threads_depth == 0:
+            _threads_saved = get()
+            if _threads_saved > 1:
+                set_(1)
+        _threads_depth += 1
+    try:
+        yield
+    finally:
+        with _THREADS_LOCK:
+            _threads_depth -= 1
+            if _threads_depth == 0 and _threads_saved > 1:
+                set_(_threads_saved)
 
 
 @dataclass(frozen=True)

@@ -256,7 +256,7 @@ needs_openblas = pytest.mark.skipif(
 
 @needs_openblas
 class TestOneBlasThread:
-    """Small fits run on one OpenBLAS thread and give the caller's count back."""
+    """Fits run on one OpenBLAS thread and give the caller's count back."""
 
     FITS = {
         "exact": lambda p: exact_dmd(p),
@@ -303,7 +303,7 @@ class TestOneBlasThread:
         return seen
 
     @pytest.mark.parametrize("fit", FITS)
-    def test_small_fit_sees_one_thread(self, fit, threads, monkeypatch):
+    def test_fit_sees_one_thread(self, fit, threads, monkeypatch):
         seen = self._record_svd_threads(monkeypatch, threads)
         self.FITS[fit](self._pair())
         assert seen and set(seen) == {1}
@@ -323,15 +323,6 @@ class TestOneBlasThread:
         with pytest.raises(error):
             fit(self._pair())
         assert threads() == 2
-
-    def test_pair_above_the_limit_runs_at_the_callers_count(self, threads, monkeypatch):
-        seen = self._record_svd_threads(monkeypatch, threads)
-        T = 40
-        n = linalg.ONE_THREAD_MAX_ENTRIES // T
-        for rows in (n, n + 1):  # n * T entries are at the limit
-            pair = split_snapshots(np.ones((rows, T + 1)))
-            _eigenvalues(pair.X1, pair.X2, r=1)
-        assert seen == [1, 2]
 
     @pytest.mark.parametrize("fit", FITS)
     def test_results_identical_without_the_library(self, fit, threads, monkeypatch):
