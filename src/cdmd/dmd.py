@@ -120,18 +120,19 @@ def split_snapshots(X) -> SnapshotPair:
 
 
 def canonicalize_mode(v, tol: float = 1e-10):
-    """Scale a mode to unit 2-norm with real positive leading entry.
+    """Scale a mode, or each column of a matrix of modes, to unit 2-norm with real positive leading entry.
 
-    Returns the canonical mode and the complex factor ``s`` with
-    ``v = s * canonical``. The zero vector is returned unchanged.
+    Returns the canonical mode(s) and the complex factor ``s`` (one per
+    column) with ``v = s * canonical``. A zero mode is returned unchanged,
+    with factor 1.
     """
     v = np.asarray(v, dtype=complex)
-    norm = np.linalg.norm(v)
-    if norm == 0.0:
-        return v.copy(), 1.0
-    idx = np.flatnonzero(np.abs(v) > tol * norm)
-    phase = v[idx[0]] / abs(v[idx[0]]) if idx.size else 1.0
-    return v / (norm * phase), norm * phase
+    M = v.reshape(v.shape[0], -1)
+    norm = np.linalg.norm(M, axis=0)
+    lead = M[np.argmax(np.abs(M) > tol * norm, axis=0), np.arange(M.shape[1])]  # first entry above tol
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.where(norm > 0.0, norm * (lead / np.abs(lead)), 1.0)
+    return v / s, (s if v.ndim == 2 else s[0])
 
 
 def _fit_amplitudes(modes, x0):
@@ -151,18 +152,19 @@ def _coordinates(X1, X2, shift=None):
     Returns ``C1``, ``C2``, ``cs`` and ``Y2`` with ``Y1 = X1 - s 1^T = Q C1``,
     ``Y2 = X2 - s 1^T = Q C2`` and ``cs = Q^H s``. ``s`` is ``shift``, or 0
     (``cs`` None) without one. The blocks of a shifted trajectory
-    (``X2[:, :-1]`` equals ``X1[:, 1:]``) share T - 1 columns. A tall one
-    (``n >= TALL_FACTOR * (T + 1)``) takes one Householder QR of
-    ``[Y1, y_T, s]``, which gives (T+1)-row coordinates of both blocks and of
-    ``s`` projected on their span, and ``Q`` is never formed. Any other pair,
-    and (R, n, T) stacks of pairs (``shift`` then (R, n)), are their own
-    coordinates (``Q = I``); a shifted one makes one shifted copy of its
-    trajectory and returns both blocks as views into it. Wide pairs
-    (``n < T``) are factored through their conjugate transpose, so the one
-    SVD is T x n (see ``linalg._svd``). A fit needs ``U_r^H`` only on vectors
-    in the range of the data, where it equals ``u_r^H Q^H`` with ``u_r`` from
-    the SVD of ``C1``. A shift near the column means makes the QR's rounding
-    relative to the fluctuations rather than to the offset.
+    (``X2[:, :-1]`` equals ``X1[:, 1:]``) share T - 1 columns, and the
+    trajectory is copied once, as ``[Y1, y_T]`` (with ``s`` appended when
+    shifted). A tall one (``n >= TALL_FACTOR * (T + 1)``) then takes one
+    Householder QR of that copy, which gives (T+1)-row coordinates of both
+    blocks and of ``s`` projected on their span, and ``Q`` is never formed.
+    Any other pair, and (R, n, T) stacks of pairs (``shift`` then (R, n)),
+    are their own coordinates (``Q = I``); a shifted one returns both blocks
+    as views into the copy. Wide pairs (``n < T``) are factored through their
+    transpose, so the one SVD is T x n (see ``linalg._svd``). A fit needs
+    ``U_r^H`` only on vectors in the range of the data, where it equals
+    ``u_r^H Q^H`` with ``u_r`` from the SVD of ``C1``. A shift near the
+    column means makes the QR's rounding relative to the fluctuations rather
+    than to the offset.
     """
     n, T = X1.shape[-2:]
     tall = X1.ndim == 2 and n >= TALL_FACTOR * (T + 1)
@@ -172,15 +174,12 @@ def _coordinates(X1, X2, shift=None):
             return X1, X2, None, X2
         Y2 = X2 - shift[..., None]
         return X1 - shift[..., None], Y2, shift, Y2
+    blocks = [X1, X2[..., -1:]] if shift is None else [X1, X2[..., -1:], shift[..., None]]
+    Y = np.concatenate(blocks, axis=-1, dtype=np.result_type(*blocks))
+    if shift is not None:
+        Y[..., : T + 1] -= shift[..., None]
     if not tall:
-        Y = np.concatenate([X1, X2[..., -1:]], axis=-1, dtype=np.result_type(X1, X2, shift))
-        Y -= shift[..., None]
-        return Y[..., :-1], Y[..., 1:], shift, Y[..., 1:]
-    if shift is None:
-        Y = np.column_stack([X1, X2[:, -1]])
-    else:
-        Y = np.column_stack([X1, X2[:, -1], shift])
-        Y[:, :-1] -= shift[:, None]
+        return Y[..., :T], Y[..., 1 : T + 1], shift, Y[..., 1 : T + 1]
     R = np.linalg.qr(Y, mode="r")[: T + 1]
     if not np.all(np.isfinite(R)):
         raise InvalidInput("the snapshot matrices are too large: their QR coordinates are non-finite")
@@ -207,18 +206,18 @@ def _centered_coordinates(X1, X2, mu1):
 
 
 def _reduce(C1, C2, r: int | None, rel_tol: float, removed=None):
-    """SVD of ``C1`` and the reduced operator: ``u_r``, ``W = V_r Sigma_r^-1`` and ``Atilde = u_r^H C2 W``.
+    """SVD of ``C1`` and the reduced operator: ``u_r``, ``W = V_r Sigma_r^-1``, ``CW`` and ``Atilde = u_r^H CW``.
 
-    Takes the coordinates of one pair or an (R, m, T) stack of pairs. With
-    ``removed = (P, H)`` the fitted second block is ``C2 - P H`` for a rank-k
-    ``P H`` (a centering or a projection): ``Atilde`` is then
-    ``u_r^H (C2 W) - (u_r^H P)(H W)``, and ``C2 - P H`` is never formed.
-    ``H W`` vanishes up to rounding, but that rounding grows with the
-    condition number of ``C1``, so the second term is kept. ``r`` defaults to the rank rule
-    of a single pair; a stack needs ``r`` and raises RankTooHigh if any slice
-    has fewer than ``r`` singular values above ``rel_tol * sigma_max`` (see
-    ``_truncated_svd``). Raises InvalidInput when ``Atilde`` is not finite
-    (badly scaled data).
+    Takes the coordinates of one pair or an (R, m, T) stack of pairs. ``CW``
+    is the fitted second block times ``W``: the coordinates of the fit's
+    ``Z``. With ``removed = (P, H)`` that block is ``C2 - P H`` for a rank-k
+    ``P H`` (a centering or a projection), and ``CW = C2 W - P (H W)``, so
+    ``C2 - P H`` is never formed. ``H W`` vanishes up to rounding, but that
+    rounding grows with the condition number of ``C1``, so the second term is
+    kept. ``r`` defaults to the rank rule of a single pair; a stack needs
+    ``r`` and raises RankTooHigh if any slice has fewer than ``r`` singular
+    values above ``rel_tol * sigma_max`` (see ``_truncated_svd``). Raises
+    InvalidInput when ``Atilde`` is not finite (badly scaled data).
     """
     if r is None and C1.ndim > 2:
         raise InvalidInput("a stack of snapshot pairs needs an explicit rank")
@@ -227,27 +226,31 @@ def _reduce(C1, C2, r: int | None, rel_tol: float, removed=None):
         raise InvalidInput("no singular value lies above rel_tol * sigma_max (is the data all zero?)")
 
     W = Vt.conj().swapaxes(-1, -2) * _inverse_singular_values(s)[..., None, :]  # V_r Sigma_r^-1, (R x) T x r
-    uh = u.conj().swapaxes(-1, -2)
     with np.errstate(over="ignore", invalid="ignore"):
-        Atilde = uh @ (C2 @ W)
+        CW = C2 @ W
         if removed is not None:
             P, H = removed
-            Atilde = Atilde - (uh @ P) @ (H @ W)
+            CW = CW - P @ (H @ W)
+        Atilde = u.conj().swapaxes(-1, -2) @ CW
     if not np.all(np.isfinite(Atilde)):
         raise InvalidInput(_OVERFLOW)
-    return u, W, Atilde
+    return u, W, CW, Atilde
 
 
-def _svd_fit(C1, C2, lift, x0, r: int | None, rel_tol: float, method: str, removed=None):
+def _svd_fit(C1, C2, lift, r: int | None, rel_tol: float, method: str, removed=None):
     """The one SVD of every fit: the model, ``u_r``, ``Z`` and ``Atilde = u_r^H C2 W``.
 
-    ``C1`` and ``C2`` less ``removed`` (see ``_reduce``) are coordinates of the
-    fitted pair, ``lift(W)`` forms the n-space ``Z = X2 W`` of that pair (``W = V_r Sigma_r^-1``) from the
-    caller's data, and ``x0`` is its first snapshot, for the amplitudes. The
-    rank-``r`` operator ``X2 X1_r^+`` is ``Z U_r^H``; callers keep it factored,
-    never n x n.
+    ``C1`` and ``C2`` less ``removed`` (see ``_reduce``) are coordinates of
+    the fitted pair, and ``lift(W)`` forms the n-space ``Z = X2 W`` of that
+    pair (``W = V_r Sigma_r^-1``) from the caller's data. After the SVD the
+    fit stays in coordinates: the modes ``Z V / lambda``, canonicalized as
+    one matrix, are its only n-space lift. The amplitudes are fitted on the
+    modes' coordinates ``CW V / lambda`` (scaled alike) against ``C1[:, 0]``,
+    the first snapshot of the fitted pair, so a tall pair's least-squares
+    fit has T + 1 rows, not n. The rank-``r`` operator ``X2 X1_r^+`` is
+    ``Z U_r^H``; callers keep it factored, never n x n.
     """
-    u, W, Atilde = _reduce(C1, C2, r, rel_tol, removed)
+    u, W, CW, Atilde = _reduce(C1, C2, r, rel_tol, removed)
     with np.errstate(over="ignore", invalid="ignore"):
         Z = lift(W)
     if not np.all(np.isfinite(Z)):
@@ -258,12 +261,12 @@ def _svd_fit(C1, C2, lift, x0, r: int | None, rel_tol: float, method: str, remov
     order = np.lexsort((np.angle(lams), -np.abs(lams)))
     lams, V = lams[order], V[:, order]
 
-    max_mod = np.max(np.abs(lams)) if lams.size else 0.0
-    modes = np.zeros((Z.shape[0], r), dtype=complex)
-    for i, lam in enumerate(lams):
-        if max_mod > 0 and np.abs(lam) >= ZERO_TOL_FACTOR * max_mod:
-            modes[:, i], _ = canonicalize_mode(Z @ V[:, i] / lam)
-    amps = _fit_amplitudes(modes, x0)
+    # Near-zero eigenvalues get zero modes (the projection divides by lambda).
+    mod = np.abs(lams)
+    keep = (mod > 0.0) & (mod >= ZERO_TOL_FACTOR * mod.max())
+    V = np.where(keep, V, 0.0) / np.where(keep, lams, 1.0)
+    modes, scale = canonicalize_mode(Z @ V)
+    amps = _fit_amplitudes(CW @ V / scale, C1[:, 0])
     return DmdModel(lams, modes, amps, method, r), u, Z, Atilde
 
 
@@ -279,9 +282,9 @@ def _eigenvalues(X1, X2, r: int, centered: bool = False) -> np.ndarray:
     with _one_blas_thread():
         if centered:
             C1, C2, centering = _centered_coordinates(X1, X2, X1.mean(axis=-1))[:3]
-            return np.linalg.eigvals(_reduce(C1, C2, r, EXACT_TOL, centering)[2])
+            return np.linalg.eigvals(_reduce(C1, C2, r, EXACT_TOL, centering)[3])
         C1, C2 = _coordinates(X1, X2)[:2]
-        return np.linalg.eigvals(_reduce(C1, C2, r, EXACT_TOL)[2])
+        return np.linalg.eigvals(_reduce(C1, C2, r, EXACT_TOL)[3])
 
 
 def exact_dmd(pair: SnapshotPair, r: int | None = None, rel_tol: float = EXACT_TOL) -> DmdModel:
@@ -293,7 +296,7 @@ def exact_dmd(pair: SnapshotPair, r: int | None = None, rel_tol: float = EXACT_T
     """
     with _one_blas_thread():
         C1, C2, _, _ = _coordinates(pair.X1, pair.X2)
-        return _svd_fit(C1, C2, lambda W: pair.X2 @ W, pair.X1[:, 0], r, rel_tol, "exact")[0]
+        return _svd_fit(C1, C2, lambda W: pair.X2 @ W, r, rel_tol, "exact")[0]
 
 
 def centered_dmd(
@@ -323,9 +326,7 @@ def centered_dmd(
             Cb1, C2, centering, c1, c2, Y2 = _centered_coordinates(pair.X1, pair.X2, mu1)
         if not all(np.all(np.isfinite(M)) for M in (mu1, mu2, Cb1, C2, centering[0])):
             raise InvalidInput("centered snapshot matrices contain non-finite entries")
-        base, u, Z, Atilde = _svd_fit(
-            Cb1, C2, lambda W: Y2 @ W, pair.X1[:, 0] - mu1, r, rel_tol, "centered", centering
-        )
+        base, u, Z, Atilde = _svd_fit(Cb1, C2, lambda W: Y2 @ W, r, rel_tol, "centered", centering)
         uc1 = u.conj().T @ c1
         bias = mu2 - Z @ uc1
         fixed_point = None
@@ -411,10 +412,11 @@ def frequency_subtracted_dmd(
     on the coordinates of the projected pair (the second block projected only
     in r-space, as ``(C2 W) - (C2 Q)(Qh W)``; see ``_reduce``), and recovers the forcing
     coefficient matrix ``B = (X2 - Z (u_r^H C1)) Lt^+``, with ``u_r`` and
-    ``Z = X2 W - (X2 Q)(Qh W)`` from that fit. ``Qh W`` vanishes up to
-    rounding, but when the removed content dominates ``X2`` its second term
-    is what keeps ``Z`` (and ``B``) accurate. ``B`` is formed as
-    ``X2 Lt^+ - Z ((u_r^H C1) Lt^+)``, so the n x T difference is never formed.
+    ``Z = X2 (W - Q (Qh W))`` from that fit. ``Qh W`` vanishes up to
+    rounding, but when the removed content dominates ``X2`` its term is what
+    keeps ``Z`` (and ``B``) accurate. ``B`` is formed as
+    ``X2 Lt^+ - Z ((u_r^H C1) Lt^+)``, so the n x T difference is never
+    formed, and ``C1 - (C1 Q) Qh`` is formed in the buffer of ``(C1 Q) Qh``.
     """
     lams = np.atleast_1d(np.asarray(fixed_lambdas, dtype=complex))
     if lams.size == 0:
@@ -428,20 +430,12 @@ def frequency_subtracted_dmd(
     with _one_blas_thread():
         Q, Qh, Lt_pinv = _frequency_basis(lams, pair.T, real)
         C1, C2, _, _ = _coordinates(pair.X1, pair.X2)
-        C1Q, C2Q = C1 @ Q, C2 @ Q
-        # Where _coordinates returned the pair itself (it took no QR), X1 @ Q and
-        # X2 @ Q are the products just formed.
-        X1Q, X2Q = (C1Q, C2Q) if C1 is pair.X1 else (pair.X1 @ Q, pair.X2 @ Q)
+        C1p = (C1 @ Q) @ Qh
+        np.subtract(C1, C1p, out=C1p)  # C1 - (C1 Q) Qh, in the buffer of (C1 Q) Qh
         base, u, Z, _ = _svd_fit(
-            C1 - C1Q @ Qh,
-            C2,
-            lambda W: pair.X2 @ W - X2Q @ (Qh @ W),
-            pair.X1[:, 0] - X1Q @ Qh[:, 0],
-            r,
-            rel_tol,
-            "freq_subtracted",
-            (C2Q, Qh),
+            C1p, C2, lambda W: pair.X2 @ (W - Q @ (Qh @ W)), r, rel_tol, "freq_subtracted", (C2 @ Q, Qh)
         )
+        del C1p  # one block less under the complex product X2 Lt^+
         B = pair.X2 @ Lt_pinv - Z @ ((u.conj().T @ C1) @ Lt_pinv)
     return FrequencyModel(base, lams, B)
 
@@ -464,8 +458,9 @@ def reconstruct(model, x1, steps: int) -> np.ndarray:
 
     Amplitudes are fit by least squares against the initial snapshot only.
     Centered models forecast about the fixed point when it exists; otherwise
-    the homogeneous modal part is combined with a per-step accumulation of
-    the bias through the modal propagator.
+    the homogeneous modal part is combined with the bias accumulated through
+    the modal propagator, ``s_k = b + Phi ((sum_{j=1}^{k-1} lambda^j) * Phi^+ b)``
+    at step k, from one cumulative sum of powers.
     """
     if steps < 1:
         raise InvalidInput("steps must be >= 1")
@@ -483,12 +478,10 @@ def reconstruct(model, x1, steps: int) -> np.ndarray:
         # Background eigenvalue present: propagate the homogeneous part
         # modally and accumulate the bias through the modal propagator.
         out = _modal_propagate(base, x1, steps)
-        phi_pinv = pinv(base.modes) if np.any(np.abs(base.modes)) else None
-        s = np.zeros(base.modes.shape[0], dtype=complex)
-        lam = base.eigenvalues
-        for k in range(1, steps):
-            s = base.modes @ (lam * (phi_pinv @ s)) + model.bias
-            out[:, k] += s
+        powers = base.eigenvalues[None, :] ** np.arange(steps)[:, None]
+        powers[0] = 0.0
+        sums = np.cumsum(powers, axis=0)[:-1]  # row k - 1: sum_{j=1}^{k-1} lambda^j
+        out[:, 1:] += model.bias[:, None] + base.modes @ (sums * (pinv(base.modes) @ model.bias)).T
         return _realify(out)
 
     raise InvalidInput(f"unsupported model type {type(model).__name__}")

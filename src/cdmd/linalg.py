@@ -134,20 +134,20 @@ def _rank(s, rel_tol: float) -> int:
 def _svd(M, compute_uv: bool = True):
     """``numpy.linalg.svd(M, full_matrices=False)`` of a matrix or an (R, m, T) stack, factored tall.
 
-    A wide ``M`` (``m < T``) is factored through its conjugate transpose, the
-    R-SVD of Chan (ACM TOMS, 1982): ``M^H = Uh s Vh`` gives ``U = Vh^H`` and
-    ``Vt = Uh^H``, so LAPACK starts from a QR of a T x m matrix instead of an
-    LQ followed by an m x T ``Vt``. This is the only ``numpy.linalg.svd``
-    call in cdmd.
+    A wide ``M`` (``m < T``) is factored through its transpose, the R-SVD of
+    Chan (ACM TOMS, 1982): ``M^T = Uh s Vh`` gives ``U = Vh^T`` and
+    ``Vt = Uh^T``, so LAPACK starts from a QR of a T x m matrix instead of an
+    LQ followed by an m x T ``Vt``. The transpose is a view, so a complex
+    ``M`` is not copied. This is the only ``numpy.linalg.svd`` call in cdmd.
     """
     wide = M.shape[-2] < M.shape[-1]
     if wide:
-        M = M.swapaxes(-1, -2).conj()
+        M = M.swapaxes(-1, -2)
     if not compute_uv:
         return np.linalg.svd(M, compute_uv=False)
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
     if wide:
-        return Vt.swapaxes(-1, -2).conj(), s, U.swapaxes(-1, -2).conj()
+        return Vt.swapaxes(-1, -2), s, U.swapaxes(-1, -2)
     return U, s, Vt
 
 
@@ -156,7 +156,7 @@ def _truncated_svd(M, rel_tol: float, r: int | None = None):
 
     ``r`` defaults to the rank rule ``_rank``; InvalidInput if it is below 1,
     RankTooHigh if it exceeds the rule. A wide ``M`` is factored through its
-    conjugate transpose (see ``_svd``).
+    transpose (see ``_svd``).
     """
     if r is not None and r < 1:
         raise InvalidInput(f"requested rank {r} must be >= 1")
@@ -250,7 +250,9 @@ def centered_pinv_update(X1, rel_tol: float = EXACT_TOL) -> np.ndarray:
 
     Returns ``(X1 - mu1 @ ones.T)^+`` without explicitly centering, using the
     two-branch closed form; the branch is selected by whether the ones vector
-    lies in the row space of ``X1``.
+    lies in the row space of ``X1``. Raises InvalidInput where float64 cannot
+    tell (see below), as when a column offset many orders larger than the
+    fluctuations puts the ones vector nearly, but not quite, in that space.
     """
     X1 = _as_matrix(X1, "X1")
     T = X1.shape[1]
@@ -266,12 +268,26 @@ def centered_pinv_update(X1, rel_tol: float = EXACT_TOL) -> np.ndarray:
     a = Vt @ np.ones(T)
     ones_P = (a.conj() * inv_s) @ U.conj().T
     m = np.ones(T) - Vt.conj().T @ a
-    if np.linalg.norm(m, np.inf) < 1e-8 * np.sqrt(T):
+    # Forming m from r dot products of length T leaves rounding of at most
+    # about eps r T^1.5. The SVD knows each v_j only to an angle of about
+    # eps s_1 / s_j, which moves m by about eps s_1 ||a / s|| = eps s_1 ||1^T P||.
+    # An m within both is taken for zero. One above them, but within the
+    # uniform bound eps cond(X1) sqrt(T) on the second, cannot be told from
+    # zero, and raises.
+    eps = np.finfo(s.dtype).eps
+    rounding = eps * (s.size * T**1.5 + s[0] * np.linalg.norm(ones_P))
+    m_norm = np.linalg.norm(m, np.inf)
+    if m_norm <= rounding:
         nvec = ones_P.conj()  # P^H 1
         nn = nvec.conj() @ nvec
         if nn == 0.0:
             return P
         return P - np.outer(P @ nvec, nvec.conj()) / nn
+    if m_norm <= rounding + eps * s[0] / s[-1] * np.sqrt(T):
+        raise InvalidInput(
+            f"cannot tell whether the ones vector lies in the row space of X1 (cond {s[0] / s[-1]:.3g}): "
+            "is a column offset far larger than the fluctuations?"
+        )
     return P - np.outer(m, ones_P) / np.vdot(m, m)  # 1^T m = m^H m
 
 

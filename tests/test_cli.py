@@ -200,7 +200,7 @@ SVD_FUNCTIONS = {"svd", "pinv", "cond", "matrix_rank"}
 @pytest.mark.parametrize("path", SRC_MODULES, ids=lambda p: p.name)
 def test_svd_only_through_linalg_svd(path):
     # Every SVD goes through linalg._svd, which factors a wide matrix through its
-    # conjugate transpose: no module names an ``svd`` anywhere else, nor calls
+    # transpose: no module names an ``svd`` anywhere else, nor calls
     # or imports from NumPy another function that runs one.
     tree = ast.parse(path.read_text())
     inside = set()

@@ -101,7 +101,7 @@ class TestCoordinateStep:
 
     @pytest.mark.parametrize("fit", FITS)
     def test_wide_pair_svds_data(self, monkeypatch, fit):
-        # A wide pair is its own coordinates, factored through its conjugate transpose.
+        # A wide pair is its own coordinates, factored through its transpose.
         pair = split_snapshots(np.random.default_rng(2).standard_normal((4, 30)))
         shapes = _svd_shapes(monkeypatch, FITS[fit], pair)
         assert (pair.T, pair.n) in shapes
@@ -146,6 +146,17 @@ class TestCanonicalizeMode:
     def test_zero_vector_passthrough(self):
         canon, s = canonicalize_mode(np.zeros(3))
         assert np.array_equal(canon, np.zeros(3)) and s == 1.0
+
+    def test_matrix_canonicalizes_each_column(self):
+        rng = np.random.default_rng(3)
+        M = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
+        M[:, 2] = 0.0
+        M[0, 1] = 1e-12  # below tol * norm: the leading entry is the next one
+        canon, s = canonicalize_mode(M)
+        assert s.shape == (4,)
+        for j in range(4):
+            col, s_j = canonicalize_mode(M[:, j])
+            assert np.array_equal(canon[:, j], col) and s[j] == s_j
 
 
 class TestExactDmd:
@@ -410,7 +421,7 @@ class TestLargeRemovedTerm:
     def test_eigenvalues_of_the_operator(self, fit, seed):
         # X2 = A X1 + b h^T with |b| about 1e3, not a shifted trajectory:
         # centering removes b 1^T and frequency subtraction b cos(0.7 t). The
-        # fits take u_r^H (C2 - P H) W as u_r^H (C2 W) - (u_r^H P)(H W). H W
+        # fits take u_r^H (C2 - P H) W as u_r^H (C2 W - P (H W)). H W
         # vanishes only up to rounding amplified by cond(X1) = 1e6, so without
         # the second term, or with its sign flipped, the eigenvalues miss this
         # bound in 4 or 5 of the 6 cases, by up to 82 x; with it they stay
@@ -445,6 +456,18 @@ class TestFrequencySubtractedDmd:
         cen = centered_dmd(pair)
         assert match_spectra(sub.base.eigenvalues, cen.base.eigenvalues) < 1e-9
         assert match_spectra(sub.base.eigenvalues, [2.0, 3.0]) < 1e-9
+        # The forcing column is the centered fit's bias, here and on tall and
+        # wide data with a column offset 10 times the fluctuations (the error
+        # grows with the offset: 1.5e-14 on the tall pair).
+        rng = np.random.default_rng(5)
+        pairs = [pair]
+        for n, T in [(4096, 48), (64, 4999)]:
+            pairs.append(split_snapshots(rng.standard_normal((n, T + 1)) + 10.0 * rng.standard_normal((n, 1))))
+        for pair in pairs:
+            sub = frequency_subtracted_dmd(pair, [1.0])
+            cen = centered_dmd(pair)
+            assert sub.base.rank_used == cen.base.rank_used
+            assert np.linalg.norm(sub.B[:, 0] - cen.bias) <= 1e-12 * np.linalg.norm(cen.bias)
 
     def test_complex_forcing_removed(self):
         spec = random_linear_system(10, 5, seed=43, bias="random")
@@ -479,9 +502,9 @@ class TestFrequencySubtractedDmd:
         # The forcing is about 1e6 times the modal content, which the float64
         # data carry only to about 1e6 * eps relative; B must still equal the
         # generator's b (simulate adds b * lam**(j-1) at step j, so B = b).
-        # Without the (X2 Q)(Qh W) term of the lift, or with its sign flipped,
-        # B is wrong by more than 1e-5 relative on these systems, against at
-        # most 1.3e-9 with it.
+        # Without the Q (Qh W) term of the lift Z = X2 (W - Q (Qh W)), or with
+        # its sign flipped, B is wrong by more than 1e-2 relative on these
+        # systems, against at most 4e-8 with it.
         for seed in range(5):
             spec = random_linear_system(9, 4, seed=40_000 + seed, bias="random")
             spec = dataclasses.replace(spec, bias=1e6 * spec.bias)
@@ -503,7 +526,8 @@ class TestFrequencySubtractedDmd:
     def test_wide_fit_holds_no_complex_copy_of_the_data(self):
         # B = X2 Lt^+ - Z ((u_r^H C1) Lt^+) makes one complex copy of X2 for
         # the product with the complex Lt^+, not of the n x T difference as
-        # well; the fit reuses C1 Q and C2 Q. 3.1 blocks of X1's size before.
+        # well, and the projected block is freed before it. 3.1 blocks of X1's
+        # size before.
         pair = split_snapshots(np.random.default_rng(0).standard_normal((64, 5001)))
         lam = np.exp(2j * np.pi * 60 / 1000)
         tracemalloc.start()
@@ -513,6 +537,19 @@ class TestFrequencySubtractedDmd:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * pair.X1.nbytes
+
+    def test_complex_basis_fit_memory(self):
+        # One lambda with no conjugate: Q = Lt^+ is complex, so the projected
+        # block is complex. It is formed in the buffer of (C1 Q) Qh, and the
+        # wide SVD takes its transpose, a view, not a conjugated copy.
+        pair = split_snapshots(np.random.default_rng(0).standard_normal((64, 5001)))
+        tracemalloc.start()
+        try:
+            frequency_subtracted_dmd(pair, [np.exp(2j * np.pi * 60 / 1000)], r=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7 * pair.X1.nbytes
 
     def test_validation(self):
         pair = split_snapshots(np.arange(8.0).reshape(2, 4))
@@ -547,6 +584,34 @@ class TestReconstruct:
         model = exact_dmd(split_snapshots(X))
         with pytest.raises(InvalidInput):
             reconstruct(model, X[:, 0], 0)
+
+    def test_unit_eigenvalue_bias_sum_matches_loop(self):
+        # A has eigenvalue 1 and b a component along it, so the state drifts
+        # linearly and the centered fit keeps lambda = 1 with no fixed point.
+        # The bias sum of reconstruct then equals the step-by-step recursion
+        # s_k = Phi (lambda * Phi^+ s_{k-1}) + b that it replaces.
+        rng = np.random.default_rng(8)
+        V = rng.standard_normal((3, 3))
+        A = V @ np.diag([1.0, 0.9, 0.5]) @ np.linalg.inv(V)
+        b = rng.standard_normal(3)
+        X = np.empty((3, 12))
+        X[:, 0] = rng.standard_normal(3)
+        for k in range(11):
+            X[:, k + 1] = A @ X[:, k] + b
+        model = centered_dmd(split_snapshots(X))
+        assert model.fixed_point is None
+        steps = 2000
+        base = model.base
+        expected = np.zeros((3, steps), dtype=complex)
+        modes_pinv = pinv(base.modes)
+        s = np.zeros(3, dtype=complex)
+        for k in range(1, steps):
+            s = base.modes @ (base.eigenvalues * (modes_pinv @ s)) + model.bias
+            expected[:, k] = s
+        expected += reconstruct(base, X[:, 0], steps)
+        out = reconstruct(model, X[:, 0], steps)
+        assert np.linalg.norm(out - expected) <= 1e-12 * np.linalg.norm(expected)
+        assert np.linalg.norm(out[:, :12] - X) <= 1e-8 * np.linalg.norm(X)
 
     def test_real_output_for_conjugate_spectrum(self):
         spec = random_linear_system(6, 4, seed=53)

@@ -196,6 +196,21 @@ class TestCenteredPinvUpdate:
         with pytest.raises(InvalidInput):
             centered_pinv_update(np.array([[1.0], [2.0]]))
 
+    @pytest.mark.parametrize("scale", [1e-2, 1e-6, 1e-8, 1e-10])
+    def test_ones_along_a_weak_direction(self, scale):
+        # The ones vector lies in the row space of X1, but only along a
+        # direction carried at `scale` times the rest, where the SVD's row
+        # space is rounded to about eps cond(X1). m is then that large, and
+        # is still taken for zero: branch 1.
+        rng = np.random.default_rng(11)
+        X1 = rng.standard_normal((3, 3)) @ np.vstack([rng.standard_normal((2, 30)), scale * np.ones(30)])
+        Xb1 = X1 - X1.mean(axis=1, keepdims=True)
+        Xb1 = Xb1 - Xb1.mean(axis=1, keepdims=True)
+        expected = pinv(Xb1)
+        s1, s2 = np.linalg.svd(X1, compute_uv=False)[[0, 2]], np.linalg.svd(Xb1, compute_uv=False)[[0, 1]]
+        bound = 1e-13 * (s1[0] / s1[1]) * (s2[0] / s2[1])
+        assert np.linalg.norm(centered_pinv_update(X1) - expected) <= bound * np.linalg.norm(expected)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_t_by_t_formula(self, seed):
         # The closed form with m = (I - X1^+ X1)^H 1 built from the T x T product.

@@ -425,6 +425,15 @@ class TestReducedAgainstDenseOperator:
         fixed_point = np.linalg.solve(np.eye(pair.n) - Abar, bias)
         assert np.linalg.norm(cen.fixed_point - fixed_point) <= 1e-13 * cond * scale * np.linalg.norm(fixed_point)
 
+    @given(REGIME_OFFSETS, st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_exact_amplitudes_fit(self, regime_offset, seed):
+        # Fitted in the coordinates of the pair, at the drawn rank and at the numerical rank.
+        X = _offset_regime_data(*regime_offset, seed)
+        pair = split_snapshots(X)
+        for r in {_regime_data(regime_offset[0], seed)[1], None}:
+            _assert_amplitudes_fit(exact_dmd(pair, r=r), X[:, 0])
+
     @pytest.mark.parametrize("tall", [True, False], ids=["tall", "wide"])
     @pytest.mark.parametrize("seed", range(6))
     def test_centered_offset_much_larger_than_fluctuations(self, tall, seed):
@@ -529,4 +538,22 @@ class TestCenteringAgainstExplicitCentering:
         Xb1 = Xb1 - Xb1.mean(axis=1, keepdims=True)
         expected = pinv(Xb1)
         got = centered_pinv_update(X1)
+        assert np.linalg.norm(got - expected) <= 1e-13 * _kept_cond(X1) * _kept_cond(Xb1) * np.linalg.norm(expected)
+
+    @given(st.sampled_from([0.0, 1e6, 1e7, 1e8]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_centered_pinv_update_matches_or_raises_at_large_offsets(self, offset, seed):
+        # Wide data: the ones vector lies outside the row space of X1, but at a
+        # distance of about 1 / offset, so from 1e7 on m = (I - X1^+ X1) 1 can
+        # sink to its rounding level. Then the branch cannot be told, and the
+        # update raises rather than guess.
+        X1 = _offset_regime_data("wide", offset, seed)[:, :-1]
+        Xb1 = X1 - X1.mean(axis=1, keepdims=True)
+        Xb1 = Xb1 - Xb1.mean(axis=1, keepdims=True)
+        expected = pinv(Xb1)
+        try:
+            got = centered_pinv_update(X1)
+        except InvalidInput as err:
+            assert offset >= 1e7 and "row space" in str(err)
+            return
         assert np.linalg.norm(got - expected) <= 1e-13 * _kept_cond(X1) * _kept_cond(Xb1) * np.linalg.norm(expected)
