@@ -187,31 +187,13 @@ def _coordinates(X1, X2, shift=None):
     return R[:, :T], R[:, 1 : T + 1], cs, (X2 if shift is None else Y[:, 1 : T + 1])
 
 
-def _centered_coordinates(X1, X2, mu1):
-    """Coordinates of a pair shifted by ``mu1``, the column mean of ``X1``, and the row means that center them.
-
-    With ``Y = X - mu1 1^T = Q C`` (see ``_coordinates``) and ``d`` the row
-    means of ``C``, returns ``Cb1 = C1 - d1 1^T``, ``C2``, the pair
-    ``(d2, 1^T)`` whose product centers ``C2`` (see ``_reduce``; ``Cb2`` is
-    never formed), ``c1``, ``c2`` (``c = d + Q^H mu1``, the coordinates of
-    the column means of ``X``) and ``Y2``. ``Y = X - mu1 1^T`` is exact for
-    entries near the mean, so an offset much larger than the fluctuations
-    costs no accuracy. Takes one pair or (R, n, T) stacks, with ``mu1`` then
-    (R, n).
-    """
-    C1, C2, cmu, Y2 = _coordinates(X1, X2, shift=mu1)
-    d1, d2 = C1.mean(axis=-1), C2.mean(axis=-1)
-    centering = (d2[..., None], np.ones((1, C2.shape[-1])))
-    return C1 - d1[..., None], C2, centering, d1 + cmu, d2 + cmu, Y2
-
-
 def _reduce(C1, C2, r: int | None, rel_tol: float, removed=None):
     """SVD of ``C1`` and the reduced operator: ``u_r``, ``W = V_r Sigma_r^-1``, ``CW`` and ``Atilde = u_r^H CW``.
 
     Takes the coordinates of one pair or an (R, m, T) stack of pairs. ``CW``
     is the fitted second block times ``W``: the coordinates of the fit's
     ``Z``. With ``removed = (P, H)`` that block is ``C2 - P H`` for a rank-k
-    ``P H`` (a centering or a projection), and ``CW = C2 W - P (H W)``, so
+    ``P H`` (a projection), and ``CW = C2 W - P (H W)``, so
     ``C2 - P H`` is never formed. ``H W`` vanishes up to rounding, but that
     rounding grows with the condition number of ``C1``, so the second term is
     kept. ``r`` defaults to the rank rule of a single pair; a stack needs
@@ -265,24 +247,86 @@ def _svd_fit(C1, C2, lift, r: int | None, rel_tol: float, method: str, removed=N
     mod = np.abs(lams)
     keep = (mod > 0.0) & (mod >= ZERO_TOL_FACTOR * mod.max())
     V = np.where(keep, V, 0.0) / np.where(keep, lams, 1.0)
-    modes, scale = canonicalize_mode(Z @ V)
+    modes, scale = canonicalize_mode((V.T @ Z.T).T)  # column-major: each column is divided along contiguous memory
     amps = _fit_amplitudes(CW @ V / scale, C1[:, 0])
     return DmdModel(lams, modes, amps, method, r), u, Z, Atilde
+
+
+def _frequency_basis(lams, T: int, real: bool):
+    """An orthonormal basis ``Q`` of the row space of the Vandermonde matrix ``Lt``, and ``Lt^+ = Q (Lt Q)^-1``.
+
+    ``Lt`` is k x T, row i = ``lams[i]**(0..T-1)``. ``Q`` is real, from one QR
+    of ``[Re lam^t, Im lam^t]``, for real data (``real``) and a
+    conjugate-closed ``lams``, so the projected data stay real; otherwise it
+    comes from one QR of ``Lt^H``. ``Lt^+`` is real when every lam is. Raises
+    InvalidInput, naming the two closest lams, where ``Lt Q`` is singular at
+    the rank rule's tolerance (1-norm condition number above ``1 / EXACT_TOL``).
+    """
+    Lt = vandermonde(lams, T).T
+    if real and np.array_equal(np.sort_complex(lams), np.sort_complex(lams.conj())):
+        Q = np.linalg.qr(np.vstack([Lt[lams.imag >= 0].real, Lt[lams.imag > 0].imag]).T)[0]
+    else:
+        Q = np.linalg.qr(Lt.conj().T)[0]
+    LtQ = Lt @ Q
+    try:
+        inv = np.linalg.inv(LtQ)
+    except np.linalg.LinAlgError:
+        inv = np.full_like(LtQ, np.inf)
+    if not np.linalg.norm(LtQ, 1) * np.linalg.norm(inv, 1) * EXACT_TOL < 1.0:
+        i, j = divmod(int(np.argmin(np.abs(lams[:, None] - lams) + np.diag(np.full(lams.size, np.inf)))), lams.size)
+        raise InvalidInput(f"fixed_lambdas {lams[i]} and {lams[j]} are too close to tell apart over {T} snapshots")
+    return Q, (Q @ inv if np.any(lams.imag) else (Q @ inv).real)
+
+
+def _projected_fit(X1, X2, lams, r: int | None, rel_tol: float, method: str | None = None):
+    """DMD of a pair, or eigenvalues of a stack, with the row space of ``Lt`` over ``lams`` projected out.
+
+    Both blocks are right-multiplied by ``I - Q Q^H`` (see ``_frequency_basis``);
+    centering is this at ``lams = [1]``. With 1 among ``lams`` the pair is
+    first shifted by ``mu1``, the column mean of ``X1``, which leaves the
+    projection unchanged (``1^T (I - Q Q^H) = 0``) and its rounding relative
+    to the fluctuations, not to a column offset. In coordinates (see
+    ``_coordinates``) ``C1`` is projected in the buffer of ``(C1 Q) Q^H``, and
+    ``C2`` only in r-space, as the removed term ``(C2 Q, Q^H)`` of ``_reduce``.
+    Without a ``method`` returns ``eigvals(Atilde)`` of one pair or an
+    (R, n, T) stack. With one, returns the model with ``Z = Y2 (W - Q (Q^H W))``
+    (the vanishing ``Q^H W`` keeps ``Z`` accurate when the removed content
+    dominates ``X2``), ``Z``, ``Atilde``, ``B = (X2 - Z U_r^H X1) Lt^+`` and
+    ``U_r^H B``, from ``U_r^H X Lt^+ = u_r^H (C Lt^+ + cs 1^T Lt^+)``.
+    """
+    Q, Lt_pinv = _frequency_basis(lams, X1.shape[-1], not (np.iscomplexobj(X1) or np.iscomplexobj(X2)))
+    Qh = Q.conj().T
+    with np.errstate(over="ignore", invalid="ignore"):
+        C1, C2, cs, Y2 = _coordinates(X1, X2, X1.mean(axis=-1) if np.any(lams == 1.0) else None)
+    if cs is not None and not (np.all(np.isfinite(C1)) and np.all(np.isfinite(C2))):
+        raise InvalidInput("the shifted snapshot matrices contain non-finite entries")
+    C1p = (C1 @ Q) @ Qh
+    np.subtract(C1, C1p, out=C1p)  # C1 - (C1 Q) Q^H, in the buffer of (C1 Q) Q^H
+    if method is None:
+        return np.linalg.eigvals(_reduce(C1p, C2, r, rel_tol, (C2 @ Q, Qh))[3])
+    base, u, Z, Atilde = _svd_fit(C1p, C2, lambda W: Y2 @ (W - Q @ (Qh @ W)), r, rel_tol, method, (C2 @ Q, Qh))
+    del C1p  # one block less under the product X2 Lt^+
+    uh, ones_Lt_pinv = u.conj().T, Lt_pinv.sum(axis=0)
+    uK1, uK2 = ((uh @ C) @ Lt_pinv + (0.0 if cs is None else np.outer(uh @ cs, ones_Lt_pinv)) for C in (C1, C2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        B = X2 @ Lt_pinv - Z @ uK1
+    if not np.all(np.isfinite(B)):
+        raise InvalidInput("the snapshot matrices are too large: the forcing coefficients are non-finite")
+    return base, Z, Atilde, B, uK2 - Atilde @ uK1
 
 
 def _eigenvalues(X1, X2, r: int, centered: bool = False) -> np.ndarray:
     """Eigenvalues of the rank-``r`` DMD operator, without modes or amplitudes.
 
     ``X1`` and ``X2`` are one n x T pair or (R, n, T) stacks of pairs; with
-    ``centered`` each pair takes the centered coordinates of ``centered_dmd``.
+    ``centered`` each pair is centered as in ``centered_dmd``.
     Returns ``eigvals(Atilde)`` in LAPACK order, shape (r,) or (R, r): up to
     order, the ``eigenvalues`` of ``exact_dmd`` or of
     ``centered_dmd(...).base`` at the same rank.
     """
     with _one_blas_thread():
         if centered:
-            C1, C2, centering = _centered_coordinates(X1, X2, X1.mean(axis=-1))[:3]
-            return np.linalg.eigvals(_reduce(C1, C2, r, EXACT_TOL, centering)[3])
+            return _projected_fit(X1, X2, np.ones(1), r, EXACT_TOL)
         C1, C2 = _coordinates(X1, X2)[:2]
         return np.linalg.eigvals(_reduce(C1, C2, r, EXACT_TOL)[3])
 
@@ -306,33 +350,19 @@ def centered_dmd(
 ) -> CenteredDmdModel:
     """DMD on column-centered snapshots, with the equivalent affine term.
 
-    Fits exact DMD on the centered coordinates ``Cb`` of the pair shifted by
-    ``mu1``, the column mean of ``X1`` (see ``_centered_coordinates``, which
-    also gives ``c``, the coordinates of the column means, and ``Y2 = X2 -
-    mu1 1^T``). The operator is ``Z U_r^H`` with ``Z = Y2 W``
-    (``W = V_r Sigma_r^-1`` is orthogonal to the ones vector, so this is the
-    centered ``Xb2 W``) and ``Atilde = u_r^H Cb2 W``, formed as
-    ``u_r^H (C2 W) - (u_r^H d2)(1^T W)`` so that ``Cb2`` is never formed; a
-    wide shifted pair is fitted on one shifted copy of its trajectory. The
-    bias is ``mu2 - Z (u_r^H c1)``. When no eigenvalue lies within ``UNIT_TOL`` of 1,
-    the fixed point is solved for as well, by Woodbury as an r x r solve:
-    ``bias + Z (I_r - Atilde)^-1 (u_r^H c2 - Atilde u_r^H c1)``.
+    Centering is frequency subtraction at lambda = 1 (see ``_projected_fit``):
+    the fit's ``B`` is the bias, ``mu2 - Z U_r^H mu1``. When no eigenvalue
+    lies within ``UNIT_TOL`` of 1, the fixed point is solved for as well, by
+    Woodbury as an r x r solve: ``bias + Z (I_r - Atilde)^-1 U_r^H bias``.
     """
     if pair.T < 2:
         raise InvalidInput("centered DMD needs at least 2 snapshot columns")
     with _one_blas_thread():
-        with np.errstate(over="ignore", invalid="ignore"):
-            mu1, mu2 = pair.X1.mean(axis=1), pair.X2.mean(axis=1)
-            Cb1, C2, centering, c1, c2, Y2 = _centered_coordinates(pair.X1, pair.X2, mu1)
-        if not all(np.all(np.isfinite(M)) for M in (mu1, mu2, Cb1, C2, centering[0])):
-            raise InvalidInput("centered snapshot matrices contain non-finite entries")
-        base, u, Z, Atilde = _svd_fit(Cb1, C2, lambda W: Y2 @ W, r, rel_tol, "centered", centering)
-        uc1 = u.conj().T @ c1
-        bias = mu2 - Z @ uc1
+        base, Z, Atilde, B, UB = _projected_fit(pair.X1, pair.X2, np.ones(1), r, rel_tol, "centered")
         fixed_point = None
         if np.min(np.abs(base.eigenvalues - 1.0)) > UNIT_TOL:
-            fixed_point = bias + Z @ np.linalg.solve(np.eye(base.rank_used) - Atilde, u.conj().T @ c2 - Atilde @ uc1)
-    return CenteredDmdModel(base, bias, fixed_point)
+            fixed_point = B[:, 0] + Z @ np.linalg.solve(np.eye(base.rank_used) - Atilde, UB[:, 0])
+    return CenteredDmdModel(base, B[:, 0], fixed_point)
 
 
 def affine_dmd_direct(pair: SnapshotPair):
@@ -380,24 +410,6 @@ def companion_dmd(X) -> CompanionModel:
     return CompanionModel(c, eigs, float(np.linalg.norm(x_last - X1 @ c)))
 
 
-def _frequency_basis(lams, T: int, real: bool):
-    """``Q``, ``Qh`` and ``Lt^+`` for the Vandermonde matrix ``Lt`` (k x T, row i = ``lams[i]**(0..T-1)``).
-
-    ``I - Q Qh`` is the orthogonal projector that annihilates the row space of
-    ``Lt``. For real data (``real``) and a conjugate-closed ``lams`` that row
-    space is spanned by the real vectors ``Re lam^t`` and ``Im lam^t``, so
-    ``Q`` is a real orthonormal basis from one QR of a real T x k matrix,
-    ``Qh = Q^T``, and the projected data stay real. Otherwise ``Q = Lt^+`` and
-    ``Qh = Lt``.
-    """
-    Lt = vandermonde(lams, T).T
-    Lt_pinv = pinv(Lt)
-    if not (real and np.array_equal(np.sort_complex(lams), np.sort_complex(lams.conj()))):
-        return Lt_pinv, Lt, Lt_pinv
-    Q = np.linalg.qr(np.vstack([Lt[lams.imag >= 0].real, Lt[lams.imag > 0].imag]).T)[0]
-    return Q, Q.T, Lt_pinv
-
-
 def frequency_subtracted_dmd(
     pair: SnapshotPair,
     fixed_lambdas,
@@ -406,37 +418,21 @@ def frequency_subtracted_dmd(
 ) -> FrequencyModel:
     """DMD after projecting known fixed-frequency content out of the data.
 
-    Right-multiplies both snapshot blocks by the orthogonal projector
-    ``I - Q Qh`` that annihilates the row space of the Vandermonde matrix
-    ``Lt`` over ``fixed_lambdas`` (see ``_frequency_basis``), fits exact DMD
-    on the coordinates of the projected pair (the second block projected only
-    in r-space, as ``(C2 W) - (C2 Q)(Qh W)``; see ``_reduce``), and recovers the forcing
-    coefficient matrix ``B = (X2 - Z (u_r^H C1)) Lt^+``, with ``u_r`` and
-    ``Z = X2 (W - Q (Qh W))`` from that fit. ``Qh W`` vanishes up to
-    rounding, but when the removed content dominates ``X2`` its term is what
-    keeps ``Z`` (and ``B``) accurate. ``B`` is formed as
-    ``X2 Lt^+ - Z ((u_r^H C1) Lt^+)``, so the n x T difference is never
-    formed, and ``C1 - (C1 Q) Qh`` is formed in the buffer of ``(C1 Q) Qh``.
+    Right-multiplies both snapshot blocks by the orthogonal projector that
+    annihilates the row space of the Vandermonde matrix ``Lt`` over
+    ``fixed_lambdas``, fits exact DMD on the projected pair, and recovers the
+    forcing coefficient matrix ``B = (X2 - Z U_r^H X1) Lt^+`` (see
+    ``_projected_fit``). At ``fixed_lambdas = [1]`` this is ``centered_dmd``,
+    and ``B`` is its bias.
     """
     lams = np.atleast_1d(np.asarray(fixed_lambdas, dtype=complex))
     if lams.size == 0:
         raise InvalidInput("fixed_lambdas must be nonempty")
-    if len(set(lams.tolist())) != lams.size:
-        raise InvalidInput("fixed_lambdas must be distinct")
     if lams.size >= pair.T:
         raise InvalidInput(f"need fewer fixed frequencies ({lams.size}) than snapshots ({pair.T})")
 
-    real = not (np.iscomplexobj(pair.X1) or np.iscomplexobj(pair.X2))
     with _one_blas_thread():
-        Q, Qh, Lt_pinv = _frequency_basis(lams, pair.T, real)
-        C1, C2, _, _ = _coordinates(pair.X1, pair.X2)
-        C1p = (C1 @ Q) @ Qh
-        np.subtract(C1, C1p, out=C1p)  # C1 - (C1 Q) Qh, in the buffer of (C1 Q) Qh
-        base, u, Z, _ = _svd_fit(
-            C1p, C2, lambda W: pair.X2 @ (W - Q @ (Qh @ W)), r, rel_tol, "freq_subtracted", (C2 @ Q, Qh)
-        )
-        del C1p  # one block less under the complex product X2 Lt^+
-        B = pair.X2 @ Lt_pinv - Z @ ((u.conj().T @ C1) @ Lt_pinv)
+        base, _, _, B, _ = _projected_fit(pair.X1, pair.X2, lams, r, rel_tol, "freq_subtracted")
     return FrequencyModel(base, lams, B)
 
 

@@ -28,6 +28,7 @@ from cdmd import (
     synth_video,
     well_posed_initial_state,
 )
+from cdmd import linalg
 from cdmd.analysis import _cell_seed
 from cdmd.dmd import COMPANION_MAX_T, TALL_FACTOR, SnapshotPair, _eigenvalues, canonicalize_mode
 from cdmd.linalg import pinv
@@ -112,6 +113,38 @@ class TestCoordinateStep:
         # Every entry is finite, but the column norms overflow in the QR.
         with pytest.raises(InvalidInput, match="non-finite"):
             exact_dmd(split_snapshots(np.full((40, 4), 1e308)))
+
+
+ONE_SVD_FITS = {
+    "exact": exact_dmd,
+    "centered": centered_dmd,
+    "freq_conjugate_pair": lambda pair: frequency_subtracted_dmd(pair, [np.exp(0.7j), np.exp(-0.7j)]),
+    "freq_single_complex": lambda pair: frequency_subtracted_dmd(pair, [np.exp(0.7j)]),
+    "freq_complex_data": lambda pair: frequency_subtracted_dmd(
+        SnapshotPair(pair.X1 + 1j * pair.X1[::-1], pair.X2 + 1j * pair.X2[::-1]), [np.exp(0.7j), np.exp(-0.7j)]
+    ),
+    "eigenvalues": lambda pair: _eigenvalues(np.stack([pair.X1, pair.X1]), np.stack([pair.X2, pair.X2]), 3),
+    "eigenvalues_centered": lambda pair: _eigenvalues(
+        np.stack([pair.X1, pair.X1]), np.stack([pair.X2, pair.X2]), 3, centered=True
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", [(60, 10), (12, 41)])
+@pytest.mark.parametrize("fit", ONE_SVD_FITS)
+def test_one_svd_per_fit(monkeypatch, fit, shape):
+    # Every fit, frequency subtraction included, does exactly one SVD: Lt^+ is
+    # Q (Lt Q)^-1 from the basis of the projection, not a pseudoinverse.
+    calls = []
+    svd = linalg._svd
+
+    def counting(M, compute_uv=True):
+        calls.append(M.shape)
+        return svd(M, compute_uv)
+
+    monkeypatch.setattr(linalg, "_svd", counting)
+    ONE_SVD_FITS[fit](split_snapshots(np.random.default_rng(3).standard_normal(shape)))
+    assert len(calls) == 1
 
 
 class TestTruncationRank:
@@ -457,17 +490,25 @@ class TestFrequencySubtractedDmd:
         assert match_spectra(sub.base.eigenvalues, cen.base.eigenvalues) < 1e-9
         assert match_spectra(sub.base.eigenvalues, [2.0, 3.0]) < 1e-9
         # The forcing column is the centered fit's bias, here and on tall and
-        # wide data with a column offset 10 times the fluctuations (the error
-        # grows with the offset: 1.5e-14 on the tall pair).
+        # wide data with column offsets 10, 1e3 and 1e6 times the fluctuations,
+        # at the rank of the same data without the offset, which centering
+        # removes. Projecting the unshifted data instead kept rank 48 of 47 on
+        # the tall pair at 1e3, with B[:, 0] off by 1.2 relative.
         rng = np.random.default_rng(5)
-        pairs = [pair]
+        cases = [(pair, 2)]
         for n, T in [(4096, 48), (64, 4999)]:
-            pairs.append(split_snapshots(rng.standard_normal((n, T + 1)) + 10.0 * rng.standard_normal((n, 1))))
-        for pair in pairs:
+            X, offset = rng.standard_normal((n, T + 1)), rng.standard_normal((n, 1))
+            rank = centered_dmd(split_snapshots(X)).base.rank_used
+            cases.extend((split_snapshots(X + scale * offset), rank) for scale in (10.0, 1e3, 1e6))
+        for pair, rank in cases:
             sub = frequency_subtracted_dmd(pair, [1.0])
             cen = centered_dmd(pair)
-            assert sub.base.rank_used == cen.base.rank_used
+            assert sub.base.rank_used == cen.base.rank_used == rank
             assert np.linalg.norm(sub.B[:, 0] - cen.bias) <= 1e-12 * np.linalg.norm(cen.bias)
+        # A nearly coincident pair leaves Lt singular at the rank rule's
+        # tolerance: no Lt^+ to recover B with, so the fit raises, naming both.
+        with pytest.raises(InvalidInput, match=r"\(1\+0j\) and \(1\.0000000000001\+0j\) are too close"):
+            frequency_subtracted_dmd(cases[0][0], [1.0, 1.0 + 1e-13])
 
     def test_complex_forcing_removed(self):
         spec = random_linear_system(10, 5, seed=43, bias="random")

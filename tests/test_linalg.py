@@ -27,6 +27,7 @@ from cdmd import (
 )
 from cdmd import linalg
 from cdmd.dmd import _eigenvalues
+from cdmd.experiments import ExperimentConfig, run_experiment
 from cdmd.linalg import (
     centered_pinv_update,
     effective_rank,
@@ -322,6 +323,22 @@ class TestOneBlasThread:
         seen = self._record_svd_threads(monkeypatch, threads)
         self.FITS[fit](self._pair())
         assert seen and set(seen) == {1}
+        assert threads() == 2
+
+    def test_experiment_blas_between_fits_sees_one_thread(self, threads, monkeypatch, tmp_path):
+        # fig4 takes effective_rank, an SVD without vectors, outside any fit;
+        # run_experiment holds one thread around the whole runner, so it sees
+        # one thread as the fits do.
+        seen = []
+        svd = linalg._svd
+
+        def recording(M, compute_uv=True):
+            seen.append((compute_uv, threads()))
+            return svd(M, compute_uv)
+
+        monkeypatch.setattr(linalg, "_svd", recording)
+        run_experiment(ExperimentConfig("fig4_dft", output_dir=tmp_path))
+        assert (False, 1) in seen and {count for _, count in seen} == {1}
         assert threads() == 2
 
     @pytest.mark.parametrize(
