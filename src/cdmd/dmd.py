@@ -253,14 +253,15 @@ def _svd_fit(C1, C2, lift, r: int | None, rel_tol: float, method: str, removed=N
 
 
 def _frequency_basis(lams, T: int, real: bool):
-    """An orthonormal basis ``Q`` of the row space of the Vandermonde matrix ``Lt``, and ``Lt^+ = Q (Lt Q)^-1``.
+    """An orthonormal basis ``Q`` of the row space of the Vandermonde matrix ``Lt``, and ``(Lt Q)^-1``.
 
-    ``Lt`` is k x T, row i = ``lams[i]**(0..T-1)``. ``Q`` is real, from one QR
-    of ``[Re lam^t, Im lam^t]``, for real data (``real``) and a
-    conjugate-closed ``lams``, so the projected data stay real; otherwise it
-    comes from one QR of ``Lt^H``. ``Lt^+`` is real when every lam is. Raises
-    InvalidInput, naming the two closest lams, where ``Lt Q`` is singular at
-    the rank rule's tolerance (1-norm condition number above ``1 / EXACT_TOL``).
+    ``Lt`` is k x T, row i = ``lams[i]**(0..T-1)``, and ``Lt^+ = Q (Lt Q)^-1``.
+    ``Q`` is real, from one QR of ``[Re lam^t, Im lam^t]``, for real data
+    (``real``) and a conjugate-closed ``lams``, so the projected data stay
+    real; otherwise it comes from one QR of ``Lt^H``. ``(Lt Q)^-1`` is real
+    when every lam is. Raises InvalidInput, naming the two closest lams, where
+    ``Lt Q`` is singular at the rank rule's tolerance (1-norm condition
+    number above ``1 / EXACT_TOL``).
     """
     Lt = vandermonde(lams, T).T
     if real and np.array_equal(np.sort_complex(lams), np.sort_complex(lams.conj())):
@@ -275,7 +276,7 @@ def _frequency_basis(lams, T: int, real: bool):
     if not np.linalg.norm(LtQ, 1) * np.linalg.norm(inv, 1) * EXACT_TOL < 1.0:
         i, j = divmod(int(np.argmin(np.abs(lams[:, None] - lams) + np.diag(np.full(lams.size, np.inf)))), lams.size)
         raise InvalidInput(f"fixed_lambdas {lams[i]} and {lams[j]} are too close to tell apart over {T} snapshots")
-    return Q, (Q @ inv if np.any(lams.imag) else (Q @ inv).real)
+    return Q, (inv if np.any(lams.imag) else inv.real)
 
 
 def _projected_fit(X1, X2, lams, r: int | None, rel_tol: float, method: str | None = None):
@@ -283,36 +284,36 @@ def _projected_fit(X1, X2, lams, r: int | None, rel_tol: float, method: str | No
 
     Both blocks are right-multiplied by ``I - Q Q^H`` (see ``_frequency_basis``);
     centering is this at ``lams = [1]``. With 1 among ``lams`` the pair is
-    first shifted by ``mu1``, the column mean of ``X1``, which leaves the
-    projection unchanged (``1^T (I - Q Q^H) = 0``) and its rounding relative
-    to the fluctuations, not to a column offset. In coordinates (see
-    ``_coordinates``) ``C1`` is projected in the buffer of ``(C1 Q) Q^H``, and
-    ``C2`` only in r-space, as the removed term ``(C2 Q, Q^H)`` of ``_reduce``.
-    Without a ``method`` returns ``eigvals(Atilde)`` of one pair or an
-    (R, n, T) stack. With one, returns the model with ``Z = Y2 (W - Q (Q^H W))``
-    (the vanishing ``Q^H W`` keeps ``Z`` accurate when the removed content
-    dominates ``X2``), ``Z``, ``Atilde``, ``B = (X2 - Z U_r^H X1) Lt^+`` and
-    ``U_r^H B``, from ``U_r^H X Lt^+ = u_r^H (C Lt^+ + cs 1^T Lt^+)``.
+    first shifted by ``mu1``, the column mean of ``X1``: as ``1^T (I - Q Q^H)
+    = 0``, the projection is unchanged and its rounding is relative to the
+    fluctuations, not to a column offset. In coordinates (see ``_coordinates``)
+    ``C1`` is projected in the buffer of ``(C1 Q) Q^H``, and ``C2`` only in
+    r-space, as the removed term ``(C2 Q, Q^H)`` of ``_reduce``. Without a
+    ``method`` returns ``eigvals(Atilde)`` of a pair or an (R, n, T) stack;
+    with one, the model with ``Z = Y2 (W - Q (Q^H W))`` (the vanishing
+    ``Q^H W`` keeps ``Z`` accurate when the removed content dominates ``X2``),
+    ``Z``, ``Atilde``, ``B = (X2 - Z U_r^H X1) Lt^+`` and ``U_r^H B``, from
+    ``X Lt^+ = (X Q) (Lt Q)^-1`` and ``U_r^H X Q = u_r^H (C Q + cs 1^T Q)``.
     """
-    Q, Lt_pinv = _frequency_basis(lams, X1.shape[-1], not (np.iscomplexobj(X1) or np.iscomplexobj(X2)))
+    Q, LtQ_inv = _frequency_basis(lams, X1.shape[-1], not (np.iscomplexobj(X1) or np.iscomplexobj(X2)))
     Qh = Q.conj().T
     with np.errstate(over="ignore", invalid="ignore"):
         C1, C2, cs, Y2 = _coordinates(X1, X2, X1.mean(axis=-1) if np.any(lams == 1.0) else None)
-    if cs is not None and not (np.all(np.isfinite(C1)) and np.all(np.isfinite(C2))):
-        raise InvalidInput("the shifted snapshot matrices contain non-finite entries")
-    C1p = (C1 @ Q) @ Qh
+        # Q Q^H 1 = 1 when shifted: no row of Q is zero, so a non-finite shifted C shows in C Q.
+        C1Q, C2Q = C1 @ Q, C2 @ Q
+    if not (np.all(np.isfinite(C1Q)) and np.all(np.isfinite(C2Q))):
+        raise InvalidInput("the shifted snapshot matrices or their fixed-frequency content are non-finite")
+    C1p = C1Q @ Qh
     np.subtract(C1, C1p, out=C1p)  # C1 - (C1 Q) Q^H, in the buffer of (C1 Q) Q^H
     if method is None:
-        return np.linalg.eigvals(_reduce(C1p, C2, r, rel_tol, (C2 @ Q, Qh))[3])
-    base, u, Z, Atilde = _svd_fit(C1p, C2, lambda W: Y2 @ (W - Q @ (Qh @ W)), r, rel_tol, method, (C2 @ Q, Qh))
-    del C1p  # one block less under the product X2 Lt^+
-    uh, ones_Lt_pinv = u.conj().T, Lt_pinv.sum(axis=0)
-    uK1, uK2 = ((uh @ C) @ Lt_pinv + (0.0 if cs is None else np.outer(uh @ cs, ones_Lt_pinv)) for C in (C1, C2))
+        return np.linalg.eigvals(_reduce(C1p, C2, r, rel_tol, (C2Q, Qh))[3])
+    base, u, Z, Atilde = _svd_fit(C1p, C2, lambda W: Y2 @ (W - Q @ (Qh @ W)), r, rel_tol, method, (C2Q, Qh))
+    uC1Q, uC2Q = (u.conj().T @ (CQ if cs is None else CQ + np.outer(cs, Q.sum(axis=0))) for CQ in (C1Q, C2Q))
     with np.errstate(over="ignore", invalid="ignore"):
-        B = X2 @ Lt_pinv - Z @ uK1
+        B = (X2 @ Q - Z @ uC1Q) @ LtQ_inv
     if not np.all(np.isfinite(B)):
         raise InvalidInput("the snapshot matrices are too large: the forcing coefficients are non-finite")
-    return base, Z, Atilde, B, uK2 - Atilde @ uK1
+    return base, Z, Atilde, B, (uC2Q - Atilde @ uC1Q) @ LtQ_inv
 
 
 def _eigenvalues(X1, X2, r: int, centered: bool = False) -> np.ndarray:

@@ -259,6 +259,7 @@ class TestCenteredDmd:
         assert match_spectra(model.base.eigenvalues, [2.0, 3.0]) < 1e-10
         assert np.allclose(model.bias, [1.0, 2.0], atol=1e-10)
         assert np.allclose(model.fixed_point, [-1.0, -1.0], atol=1e-10)
+        assert np.isrealobj(model.bias) and np.isrealobj(model.fixed_point)
 
     def test_uncentered_fit_is_inconsistent_here(self):
         _, X = golden_affine_trajectory()
@@ -307,10 +308,11 @@ class TestCenteredDmd:
     @pytest.mark.parametrize("n", [1, 40])
     def test_nonfinite_centered_data_rejected(self, n):
         # Finite data whose column means overflow (n = 1, fitted on itself)
-        # or whose QR coordinates do (n = 40, a tall trajectory).
-        X = np.tile([1.5e308, 1.7e308, 1.6e308, 1.4e308], (n, 1))
-        with pytest.raises(InvalidInput, match="non-finite"):
-            centered_dmd(split_snapshots(X))
+        # or whose QR coordinates do (n = 40, a tall trajectory); in the
+        # second row only the sums behind the mean of X2, and so the bias, do.
+        for row in ([1.5e308, 1.7e308, 1.6e308, 1.4e308], [-1.6e308, 1e308, 1e308, 1.7e308]):
+            with pytest.raises(InvalidInput, match="non-finite"):
+                centered_dmd(split_snapshots(np.tile(row, (n, 1))))
 
     def test_wide_shifted_fit_holds_one_trajectory_copy(self):
         # One shifted n x (T+1) copy of the trajectory, the centered first block
@@ -565,10 +567,9 @@ class TestFrequencySubtractedDmd:
         assert sub.base.rank_used == 2 and np.all(np.isfinite(sub.B))
 
     def test_wide_fit_holds_no_complex_copy_of_the_data(self):
-        # B = X2 Lt^+ - Z ((u_r^H C1) Lt^+) makes one complex copy of X2 for
-        # the product with the complex Lt^+, not of the n x T difference as
-        # well, and the projected block is freed before it. 3.1 blocks of X1's
-        # size before.
+        # B = (X2 Q - Z (u_r^H C1 Q)) (Lt Q)^-1 with the real basis Q makes no
+        # complex copy of X2 and no n x T difference: 2.2 blocks of X1's size,
+        # against 3.1 with both and 2.3 with one complex copy of X2.
         pair = split_snapshots(np.random.default_rng(0).standard_normal((64, 5001)))
         lam = np.exp(2j * np.pi * 60 / 1000)
         tracemalloc.start()
@@ -580,8 +581,8 @@ class TestFrequencySubtractedDmd:
         assert peak < 2.5 * pair.X1.nbytes
 
     def test_complex_basis_fit_memory(self):
-        # One lambda with no conjugate: Q = Lt^+ is complex, so the projected
-        # block is complex. It is formed in the buffer of (C1 Q) Qh, and the
+        # One lambda with no conjugate: Q, from the QR of Lt^H, is complex, so
+        # the projected block is complex. It is formed in the buffer of (C1 Q) Qh, and the
         # wide SVD takes its transpose, a view, not a conjugated copy.
         pair = split_snapshots(np.random.default_rng(0).standard_normal((64, 5001)))
         tracemalloc.start()

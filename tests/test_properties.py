@@ -479,7 +479,7 @@ class TestReducedAgainstDenseOperator:
     @settings(max_examples=60, deadline=None)
     def test_real_basis_matches_complex_projector(self, regime, seed):
         # Real data and a conjugate pair take the real basis; the same data
-        # held as complex take the complex projector X - (X Lt^+) Lt.
+        # held as complex take the complex basis from the QR of Lt^H.
         X, r = _regime_data(regime, seed)
         pair = split_snapshots(X)
         if pair.T < 4:
