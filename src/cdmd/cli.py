@@ -189,8 +189,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_decomposition(args) -> dict:
-    X = load_matrix(args.input)
-    pair = split_snapshots(X)
+    pair = split_snapshots(load_matrix(args.input))  # the pair's copy is the only one left during the fit
     if args.command == "dmd":
         model = exact_dmd(pair, r=args.rank, rel_tol=args.tol)
         return {

@@ -341,8 +341,7 @@ def _run_fig7(seed, params, out_dir, rec):
 def _run_fig8(seed, params, out_dir, rec):
     channels, fs, duration, f0 = 64, 1000.0, 5.0, 60.0
     dt = 1.0 / fs
-    X = synth_line_noise(channels, fs, duration, f0, seed=seed)
-    pair = split_snapshots(X)
+    pair = split_snapshots(synth_line_noise(channels, fs, duration, f0, seed=seed))  # the pair's copy is the only one
     lam_pair = np.array([np.exp(2j * np.pi * f0 * dt), np.exp(-2j * np.pi * f0 * dt)])
 
     before = exact_dmd(pair, r=8)
@@ -383,8 +382,7 @@ def _run_custom(seed, params, out_dir, rec):
     path = params.get("input")
     if path is None:
         raise InvalidInput("custom experiment requires an 'input' override with a matrix path")
-    X = load_matrix(path)
-    pair = split_snapshots(X)
+    pair = split_snapshots(load_matrix(path))
     rank = params.get("rank")
     unc = exact_dmd(pair, r=None if rank is None else int(rank))
     cen = centered_dmd(pair, r=None if rank is None else int(rank))

@@ -57,8 +57,8 @@ _threads_saved = 1
 def _one_blas_thread():
     """Holds NumPy's bundled OpenBLAS at one thread while a fit runs, then restores the caller's count.
 
-    Every fit runs inside it. On tall snapshot blocks of up to about 200k
-    entries (``n * T``) and wide ones of up to about 480k, which covers the
+    Every fit runs inside it. On tall snapshot blocks of up to about 400k
+    entries (``n * T``) and wide ones of up to about 560k, which covers the
     fits of the benchmark and the experiments, one thread is about as fast
     as two or faster, and it leaves no second core spinning, as OpenBLAS's
     idle worker does for about 0.1 s after each call. Larger fits can take
@@ -119,16 +119,19 @@ def _inverse_singular_values(s) -> np.ndarray:
     return inv
 
 
-def _rank(s, rel_tol: float) -> int:
-    """The rank rule: the number of singular values above ``rel_tol * sigma_max``.
+def _rank(s, rel_tol: float, scale=0.0) -> int:
+    """The rank rule: the number of singular values above ``rel_tol * max(sigma_max, scale)``.
 
     ``s`` holds the descending singular values of one matrix or of a stack of
-    them (last axis); a stack gets the fewest over its slices. Raises
+    them (last axis); a stack gets the fewest over its slices. ``scale``, one
+    per slice of a stack, is the size of the data before a fit removed part
+    of it, such as the column offset that centering takes out: the rounding
+    the data carry is relative to that, not to ``sigma_max``. Raises
     InvalidInput unless ``0 < rel_tol < 1``.
     """
     if not 0.0 < rel_tol < 1.0:
         raise InvalidInput(f"rel_tol must lie in (0, 1), got {rel_tol}")
-    return int(np.min(np.sum(s > rel_tol * s[..., :1], axis=-1)))
+    return int(np.min(np.sum(s > rel_tol * np.maximum(s[..., :1], scale), axis=-1)))
 
 
 def _svd(M, compute_uv: bool = True):
@@ -151,17 +154,17 @@ def _svd(M, compute_uv: bool = True):
     return U, s, Vt
 
 
-def _truncated_svd(M, rel_tol: float, r: int | None = None):
+def _truncated_svd(M, rel_tol: float, r: int | None = None, scale=0.0):
     """SVD factors ``U, s, Vt`` of a matrix or an (R, m, T) stack, truncated at rank ``r``.
 
-    ``r`` defaults to the rank rule ``_rank``; InvalidInput if it is below 1,
-    RankTooHigh if it exceeds the rule. A wide ``M`` is factored through its
-    transpose (see ``_svd``).
+    ``r`` defaults to the rank rule ``_rank`` (at ``scale``); InvalidInput if
+    it is below 1, RankTooHigh if it exceeds the rule. A wide ``M`` is
+    factored through its transpose (see ``_svd``).
     """
     if r is not None and r < 1:
         raise InvalidInput(f"requested rank {r} must be >= 1")
     U, s, Vt = _svd(M)
-    available = _rank(s, rel_tol)
+    available = _rank(s, rel_tol, scale)
     if r is None:
         r = available
     elif r > available:
@@ -227,11 +230,12 @@ def vandermonde(lambdas, length: int) -> np.ndarray:
     """Rectangular Vandermonde matrix with entry (i, j) = lambdas[j]**i.
 
     Shape is ``length x len(lambdas)``, powers running 0 .. length-1 down the
-    rows. Full column rank iff the generators are distinct and there are at
-    most ``length`` of them. Raises InvalidInput, naming the generator, when
-    a power overflows.
+    rows; real generators give real powers. Full column rank iff the
+    generators are distinct and there are at most ``length`` of them. Raises
+    InvalidInput, naming the generator, when a power overflows.
     """
-    lam = np.atleast_1d(np.asarray(lambdas, dtype=complex))
+    lam = np.atleast_1d(np.asarray(lambdas))
+    lam = lam.astype(complex if np.iscomplexobj(lam) else float)
     if lam.size == 0:
         raise InvalidInput("lambdas must be nonempty")
     if length < 1:

@@ -1,6 +1,8 @@
 """Tests for the decomposition variants and diagnostics."""
 
+import copy
 import dataclasses
+import pickle
 import tracemalloc
 import warnings
 
@@ -30,8 +32,16 @@ from cdmd import (
 )
 from cdmd import linalg
 from cdmd.analysis import _cell_seed
-from cdmd.dmd import COMPANION_MAX_T, TALL_FACTOR, SnapshotPair, _eigenvalues, canonicalize_mode
-from cdmd.linalg import pinv
+from cdmd.dmd import (
+    COMPANION_MAX_T,
+    TALL_FACTOR,
+    SnapshotPair,
+    _eigen_order,
+    _eigenvalues,
+    _frequency_basis,
+    canonicalize_mode,
+)
+from cdmd.linalg import pinv, vandermonde
 from cdmd.synth import LinearSystemSpec
 
 
@@ -61,6 +71,53 @@ class TestSplitSnapshots:
         with pytest.raises(InvalidInput):
             split_snapshots(np.array([[1.0]]))
 
+    def test_pair_holds_a_read_only_copy(self):
+        X = np.arange(8.0).reshape(2, 4)
+        for pair in (split_snapshots(X), SnapshotPair(X[:, :-1], X[:, 1:])):
+            for block in (pair.X1, pair.X2):
+                with pytest.raises(ValueError):
+                    block[0, 0] = -1.0
+            assert not np.shares_memory(pair.X1, X) and not np.shares_memory(pair.X2, X)
+
+    def test_copies_are_read_only_pairs(self):
+        # A pickled or deep-copied pair is rebuilt: its blocks stay read-only
+        # views of one copy, and it fits as the original does.
+        pair = split_snapshots(np.random.default_rng(7).standard_normal((60, 10)))
+        model = exact_dmd(pair)
+        for other in (pickle.loads(pickle.dumps(pair)), copy.deepcopy(pair)):
+            for block in (other.X1, other.X2):
+                with pytest.raises(ValueError):
+                    block[0, 0] = -1.0
+            assert np.shares_memory(other.X1, other.X2)
+            assert np.array_equal(exact_dmd(other).eigenvalues, model.eigenvalues)
+
+    def test_replaced_block_is_fitted_as_unshifted(self):
+        # dataclasses.replace hands the new pair the old trajectory; the fits
+        # must not take its QR for the new blocks.
+        rng = np.random.default_rng(6)
+        pair = split_snapshots(rng.standard_normal((60, 10)))
+        exact_dmd(pair)
+        X2 = rng.standard_normal((60, 9))
+        replaced = dataclasses.replace(pair, X2=X2)
+        reference = SnapshotPair(pair.X1, X2)
+        assert np.array_equal(exact_dmd(replaced).eigenvalues, exact_dmd(reference).eigenvalues)
+        assert np.array_equal(centered_dmd(replaced).bias, centered_dmd(reference).bias)
+
+    @pytest.mark.parametrize("shape", [(60, 10), (12, 41)], ids=["tall", "wide"])
+    def test_changing_the_source_leaves_fits_unchanged(self, shape):
+        # A tall pair keeps the QR of its first fit; it must still describe the pair's data.
+        X = np.random.default_rng(4).standard_normal(shape)
+        for make in (split_snapshots, lambda X: SnapshotPair(X[:, :-1], X[:, 1:])):
+            pair = make(X)
+            first = exact_dmd(pair), centered_dmd(pair)
+            X += 1.0
+            second = exact_dmd(pair), centered_dmd(pair)
+            (exact1, centered1), (exact2, centered2) = first, second
+            for a, b in ((exact1, exact2), (centered1.base, centered2.base)):
+                assert all(np.array_equal(getattr(a, f), getattr(b, f)) for f in ("eigenvalues", "modes", "amplitudes"))
+            assert np.array_equal(centered1.bias, centered2.bias)
+            assert np.array_equal(centered1.fixed_point, centered2.fixed_point)
+
 
 def _svd_shapes(monkeypatch, fit, pair):
     """Shapes of the matrices ``fit(pair)`` passes to ``numpy.linalg.svd``."""
@@ -84,14 +141,16 @@ FITS = {
 
 
 class TestCoordinateStep:
-    """A tall shifted trajectory is fitted on the R factor of ``[X1, x_T]``; any other pair on itself."""
+    """A tall shifted trajectory is fitted on the R factor of ``[X - mu1 1^T, mu1]``; any other pair on itself."""
 
     @pytest.mark.parametrize("fit", FITS)
     def test_tall_shifted_fit_svds_r_factor(self, monkeypatch, fit):
+        # A centered fit takes the T + 1 rows of the shifted trajectory; the
+        # others add back mu1, whose last row is not rounding, on T + 2.
         pair = split_snapshots(np.random.default_rng(0).standard_normal((60, 10)))
         assert pair.n >= TALL_FACTOR * (pair.T + 1)
         shapes = _svd_shapes(monkeypatch, FITS[fit], pair)
-        assert (pair.T + 1, pair.T) in shapes
+        assert (pair.T + (1 if fit == "centered" else 2), pair.T) in shapes
         assert all(shape[0] != pair.n for shape in shapes)
 
     @pytest.mark.parametrize("fit", FITS)
@@ -145,6 +204,26 @@ def test_one_svd_per_fit(monkeypatch, fit, shape):
     monkeypatch.setattr(linalg, "_svd", counting)
     ONE_SVD_FITS[fit](split_snapshots(np.random.default_rng(3).standard_normal(shape)))
     assert len(calls) == 1
+
+
+def test_one_qr_per_pair(monkeypatch):
+    # Every fit of a tall pair from split_snapshots, centered or not, reads
+    # its coordinates from one QR of the trajectory, taken on the first fit.
+    pair = split_snapshots(np.random.default_rng(3).standard_normal((60, 10)))
+    rows = []
+    qr = np.linalg.qr
+
+    def counting(a, *args, **kwargs):
+        rows.append(np.shape(a)[0])
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting)
+    for r in (2, 4):
+        exact_dmd(pair, r=r)
+        centered_dmd(pair, r=r)
+        frequency_subtracted_dmd(pair, [1.0, -1.0], r=r)
+        frequency_subtracted_dmd(pair, [np.exp(0.7j), np.exp(-0.7j)], r=r)
+    assert rows.count(pair.n) == 1
 
 
 class TestTruncationRank:
@@ -238,6 +317,16 @@ class TestExactDmd:
         mods = np.abs(model.eigenvalues)
         assert np.all(np.diff(mods) <= 1e-12)
 
+    def test_eigenvalue_order_under_modulus_ties(self):
+        # Descending modulus, then ascending angle; a conjugate pair whose
+        # moduli differ by one ulp is ordered by angle, whichever is larger.
+        upper = 0.6 + 0.7j
+        lower = complex(0.6, -np.nextafter(np.nextafter(0.7, 0.0), 0.0))
+        assert abs(upper) - abs(lower) == np.spacing(abs(lower))
+        for lams in ([0.5, upper, lower, 0.95], [lower, 0.5, 0.95, upper]):
+            lams = np.array(lams)
+            assert np.array_equal(lams[_eigen_order(lams)], [0.95, lower, upper, 0.5])
+
     @pytest.mark.filterwarnings("error")
     def test_subnormal_singular_value_rejected(self):
         X1 = np.array([[5e-324, 0.0]])
@@ -313,6 +402,29 @@ class TestCenteredDmd:
         for row in ([1.5e308, 1.7e308, 1.6e308, 1.4e308], [-1.6e308, 1e308, 1e308, 1.7e308]):
             with pytest.raises(InvalidInput, match="non-finite"):
                 centered_dmd(split_snapshots(np.tile(row, (n, 1))))
+
+    @pytest.mark.parametrize("shape", [(200, 29), (20, 299), (30, 30)], ids=["tall", "wide", "square"])
+    def test_centering_drops_the_rank_by_one_at_any_offset(self, shape):
+        # Two decaying rotations (rank 4) on a column offset: the raw pair has
+        # rank 5 and the centered one rank 4. The offset leaves rounding of
+        # about eps * offset in the data. Judged against the centered data
+        # alone, that rounding counted as rank from an offset of about 1e6 on.
+        n, T = shape
+        rng = np.random.default_rng(9)
+        A = np.zeros((4, 4))
+        for k, (rho, theta) in enumerate([(0.999, 0.3), (0.998, 1.1)]):
+            A[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = rho * np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+        Z = np.empty((4, T + 1))
+        Z[:, 0] = rng.standard_normal(4)
+        for t in range(T):
+            Z[:, t + 1] = A @ Z[:, t]
+        X = rng.standard_normal((n, 4)) @ Z
+        c = rng.standard_normal((n, 1))
+        for offset in (1.0, 1e2, 1e4, 1e6, 1e8):
+            pair = split_snapshots(X + offset * c)
+            exact = exact_dmd(pair).rank_used
+            assert exact == 5
+            assert centered_dmd(pair).base.rank_used == frequency_subtracted_dmd(pair, [1.0]).base.rank_used == exact - 1
 
     def test_wide_shifted_fit_holds_one_trajectory_copy(self):
         # One shifted n x (T+1) copy of the trajectory, the centered first block
@@ -592,6 +704,18 @@ class TestFrequencySubtractedDmd:
         finally:
             tracemalloc.stop()
         assert peak < 7 * pair.X1.nbytes
+
+    def test_real_lambdas_take_a_real_basis(self):
+        # Real powers and a real QR, for real and complex data alike: the same
+        # projector and (Lt Q)^-1 as the complex basis from the QR of Lt^H.
+        lams, T = np.array([1.0, -1.0, 0.5], dtype=complex), 40
+        Lt = vandermonde(lams, T).T
+        Qc = np.linalg.qr(Lt.conj().T)[0]
+        for real in (True, False):
+            Q, LtQ_inv = _frequency_basis(lams, T, real)
+            assert np.isrealobj(Q) and np.isrealobj(LtQ_inv)
+            assert np.linalg.norm(Q @ Q.T - Qc @ Qc.conj().T) <= 1e-14
+            assert np.linalg.norm(Q @ LtQ_inv - np.linalg.pinv(Lt)) <= 1e-14 * np.linalg.norm(np.linalg.pinv(Lt))
 
     def test_validation(self):
         pair = split_snapshots(np.arange(8.0).reshape(2, 4))

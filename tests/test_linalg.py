@@ -135,7 +135,7 @@ class TestOneRankRule:
         rank_one_residual = np.linalg.norm(pair.X2 - (pair.X2 @ Vt[:1].T) @ Vt[:1])
         assert consistency_residual(pair) < 1e-6 * rank_one_residual
 
-        monkeypatch.setattr(linalg, "_rank", lambda s, rel_tol: 1)
+        monkeypatch.setattr(linalg, "_rank", lambda s, rel_tol, scale=0.0: 1)
         assert exact_dmd(pair).rank_used == 1
         assert centered_dmd(pair).base.rank_used == 1
         assert frequency_subtracted_dmd(pair, [0.5]).base.rank_used == 1

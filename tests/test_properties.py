@@ -428,11 +428,23 @@ class TestReducedAgainstDenseOperator:
     @given(REGIME_OFFSETS, st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_exact_amplitudes_fit(self, regime_offset, seed):
-        # Fitted in the coordinates of the pair, at the drawn rank and at the numerical rank.
+        # Fitted in the coordinates of the pair, at the drawn rank and at the
+        # numerical rank. Each nonzero mode is an eigenvector of the dense
+        # X2 pinv_r(X1), to rounding of the data relative to sigma_r: on the
+        # tall regime the coordinates add the column mean back to the
+        # centered trajectory, and dropping its last row misses by O(1).
         X = _offset_regime_data(*regime_offset, seed)
         pair = split_snapshots(X)
+        s = np.linalg.svd(pair.X1, compute_uv=False)
         for r in {_regime_data(regime_offset[0], seed)[1], None}:
-            _assert_amplitudes_fit(exact_dmd(pair, r=r), X[:, 0])
+            model = exact_dmd(pair, r=r)
+            _assert_amplitudes_fit(model, X[:, 0])
+            A, _ = _dense_operator(pair.X1, pair.X2, model.rank_used)
+            keep = np.linalg.norm(model.modes, axis=0) > 0
+            modes, lams = model.modes[:, keep], model.eigenvalues[keep]
+            residual = np.linalg.norm(A @ modes - modes * lams, axis=0)
+            norm_A = np.linalg.norm(A)
+            assert np.all(residual <= 1e-13 * norm_A * s[0] / s[model.rank_used - 1] * (1.0 + norm_A / np.abs(lams)))
 
     @pytest.mark.parametrize("tall", [True, False], ids=["tall", "wide"])
     @pytest.mark.parametrize("seed", range(6))
