@@ -22,15 +22,16 @@ UNIT_TOL = 1e-6
 #: (the exact-mode projection divides by the eigenvalue).
 ZERO_TOL_FACTOR = 1e-10
 
-#: Eigenvalue moduli that agree to this fraction of the largest are ordered
-#: by angle alone, so rounding cannot swap a conjugate pair.
+#: Eigenvalue moduli within ``TIE_TOL * max |lam|`` below the first of their
+#: group tie and are ordered by angle (see ``_eigen_order``), so rounding
+#: cannot swap a conjugate pair.
 TIE_TOL = 1e-12
 
-#: A pair from ``split_snapshots`` with ``n >= TALL_FACTOR * (T + 1)`` rows is
-#: fitted in the coordinates of one Householder QR of its trajectory, taken on
-#: its first fit and kept (see ``SnapshotPair._factor``). The QR costs about as
-#: much as an SVD without singular vectors, so it pays once ``n`` is about
-#: twice ``T + 1`` even for a pair fitted once. At T = 47 (NumPy 2.4, OpenBLAS
+#: A shifted pair with ``n >= TALL_FACTOR * (T + 1)`` rows is fitted in the
+#: coordinates of one Householder QR of its trajectory, taken on its first
+#: fit and kept (see ``SnapshotPair._factor``). The QR costs about as much as
+#: an SVD without singular vectors, so it pays once ``n`` is about twice
+#: ``T + 1`` even for a pair fitted once. At T = 47 (NumPy 2.4, OpenBLAS
 #: on one thread, as every fit runs; see ``linalg._one_blas_thread``) the
 #: QR and the (T+1) x T SVD take 0.53 to 0.65 ms against 0.50 to 0.61 ms for
 #: the n x T SVD at n = 60 to 150, 0.61 ms against 0.68 ms at n = 200, and
@@ -45,8 +46,7 @@ COMPANION_MAX_T = 1000
 _OVERFLOW = "the reduced operator overflows: X2 is too large for the smallest kept singular value of X1"
 
 
-def _read_only_copy(M) -> np.ndarray:
-    M = np.array(M)
+def _read_only(M) -> np.ndarray:
     M.flags.writeable = False
     return M
 
@@ -56,22 +56,28 @@ class SnapshotPair:
     """One-step-shifted snapshot blocks of a measurement sequence.
 
     A pair holds a read-only copy of its data, so what a fit computes from it
-    stays valid for the next fit. ``split_snapshots`` copies the trajectory
-    once and makes ``X1`` and ``X2`` views of that copy, so a fit knows the
-    pair is shifted (``X2[:, :-1]`` is ``X1[:, 1:]``). A pair built from two
-    blocks is copied block by block, and fitted without a kept QR.
+    stays valid for the next fit. Shifted blocks (``X2[:, :-1]`` equal to
+    ``X1[:, 1:]``, as from ``split_snapshots``) are kept as one copy of their
+    trajectory, of which ``X1`` and ``X2`` are views; a tall one is fitted
+    through one kept QR of it (see ``_factor``). Other blocks are copied one
+    by one. A replaced, copied or unpickled pair is built, and checked, again.
     """
 
     X1: np.ndarray
     X2: np.ndarray
-    _trajectory: np.ndarray | None = field(default=None, kw_only=True, repr=False, compare=False)
+    _trajectory: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        X1, X2, X = np.asarray(self.X1), np.asarray(self.X2), self._trajectory
+        X1, X2, X = np.asarray(self.X1), np.asarray(self.X2), None
         if X1.ndim != 2 or X1.shape != X2.shape:
             raise InvalidInput(f"X1 and X2 must share a 2-D shape, got {X1.shape} vs {X2.shape}")
-        if X is None or X1.base is not X or X2.base is not X:  # dataclasses.replace keeps the old trajectory
-            X1, X2, X = _read_only_copy(X1), _read_only_copy(X2), None
+        # Views of one array one column apart are shifted without a look at their values.
+        one_array = X1.strides == X2.strides and X2.ctypes.data == X1.ctypes.data + X1.strides[1]
+        if X1.dtype == X2.dtype and (one_array or np.array_equal(X2[:, :-1], X1[:, 1:])):
+            X = _read_only(np.concatenate([X1, X2[:, -1:]], axis=1))
+            X1, X2 = X[:, :-1], X[:, 1:]
+        else:
+            X1, X2 = _read_only(np.array(X1)), _read_only(np.array(X2))
         if not (np.all(np.isfinite(X1)) and np.all(np.isfinite(X2))):
             raise InvalidInput("snapshot matrices contain non-finite entries")
         object.__setattr__(self, "X1", X1)
@@ -79,10 +85,7 @@ class SnapshotPair:
         object.__setattr__(self, "_trajectory", X)
 
     def __reduce__(self):
-        # A copy or an unpickled pair is built again, read-only, without the kept QR.
-        if self._trajectory is not None:
-            return split_snapshots, (self._trajectory,)
-        return SnapshotPair, (self.X1, self.X2)
+        return SnapshotPair, (self.X1, self.X2)  # without the kept QR
 
     @property
     def n(self) -> int:
@@ -96,14 +99,16 @@ class SnapshotPair:
     def _factor(self):
         """``mu1``, the column mean of ``X1``, and the (T+2) x (T+2) Householder R factor of ``[X - mu1 1^T, mu1]``.
 
-        ``X`` is the trajectory of a pair from ``split_snapshots``. Taken on
-        the pair's first tall fit and kept, so every fit of the pair shares
-        one QR (see ``_coordinates``). Raises InvalidInput where the factor
-        is non-finite, as when ``mu1`` overflows.
+        ``X`` is the trajectory of a shifted pair. Taken on the pair's first
+        tall fit and kept, so every fit of the pair shares one QR (see
+        ``_coordinates``). Raises InvalidInput where the factor is
+        non-finite, as when the column norms overflow.
         """
-        X = self._trajectory
+        X, X1 = self._trajectory, self.X1
         with np.errstate(over="ignore", invalid="ignore"):
-            mu1 = self.X1.mean(axis=1)
+            mu1 = X1.mean(axis=1)
+            if not np.all(np.isfinite(mu1)):  # the sum overflows before the column norms do
+                mu1 = (X1 / X1.shape[1]).sum(axis=1)
             Y = np.empty((X.shape[0], X.shape[1] + 1), dtype=np.result_type(X, mu1))
             np.subtract(X, mu1[:, None], out=Y[:, :-1])
         Y[:, -1] = mu1
@@ -164,8 +169,7 @@ def split_snapshots(X) -> SnapshotPair:
     X = np.asarray(X)
     if X.ndim != 2 or X.shape[1] < 2:
         raise InvalidInput(f"need an n x (T+1) matrix with T+1 >= 2, got shape {X.shape}")
-    X = _read_only_copy(X)
-    return SnapshotPair(X[:, :-1], X[:, 1:], _trajectory=X)
+    return SnapshotPair(X[:, :-1], X[:, 1:])
 
 
 def canonicalize_mode(v, tol: float = 1e-10):
@@ -202,10 +206,10 @@ def _coordinates(data, centered: bool):
     pairs. Returns ``C1``, ``C2``, ``cs``, ``Y2`` and ``mu1``, the column mean
     of ``X1`` (None, with ``cs``, unless ``centered``), with
     ``Y1 = X1 - s 1^T = Q C1``, ``Y2 = X2 - s 1^T = Q C2`` and ``cs = Q^H s``
-    for the shift ``s = mu1`` (0 unless ``centered``). A tall pair from
-    ``split_snapshots`` (``n >= TALL_FACTOR * (T + 1)``) reads both kinds
-    from its one kept QR of ``[X - mu1 1^T, mu1]`` (see
-    ``SnapshotPair._factor``), and ``Q`` is never formed:
+    for the shift ``s = mu1`` (0 unless ``centered``). A tall shifted pair
+    (``n >= TALL_FACTOR * (T + 1)``) reads both kinds from its one kept QR
+    of ``[X - mu1 1^T, mu1]`` (see ``SnapshotPair._factor``), and ``Q`` is
+    never formed:
     - centered, from the (T+1)-row coordinates of the shifted trajectory and
       of ``mu1`` projected on their span; ``Y2`` is formed for the fit's lift
       and not kept;
@@ -214,7 +218,7 @@ def _coordinates(data, centered: bool):
       the span of the shifted trajectory, and the last row of ``R`` is not
       rounding.
     Any other pair, and stacks, are their own coordinates (``Q = I``). When
-    centered, one from ``split_snapshots``, or any whose blocks are shifted
+    centered, a shifted pair, or a stack whose blocks are shifted
     (``X2[..., :-1]`` equals ``X1[..., 1:]``), makes one shifted copy of its
     trajectories and returns both blocks as views into it. Wide pairs
     (``n < T``) are factored through their transpose, so the one SVD is
@@ -236,7 +240,7 @@ def _coordinates(data, centered: bool):
     mu1 = X1.mean(axis=-1)
     if X is not None:
         Y = X - mu1[:, None]
-    elif np.array_equal(X2[..., :-1], X1[..., 1:]):
+    elif isinstance(data, tuple) and np.array_equal(X2[..., :-1], X1[..., 1:]):
         Y = np.concatenate([X1, X2[..., -1:]], axis=-1, dtype=np.result_type(X1, mu1))
         Y -= mu1[..., None]
     else:
@@ -311,9 +315,22 @@ def _svd_fit(C1, C2, lift, r: int | None, rel_tol: float, method: str, removed=N
 
 
 def _eigen_order(lams) -> np.ndarray:
-    """The order of ``lams`` by descending modulus, then ascending angle; moduli within ``TIE_TOL * max |lam|`` tie."""
+    """The order of ``lams`` by descending modulus, then ascending angle among moduli that tie.
+
+    Moduli tie with the largest of their group if they lie within
+    ``TIE_TOL * max |lam|`` of it; the next modulus below starts a group.
+    """
     mod = np.abs(lams)
-    return np.lexsort((np.angle(lams), -np.round(mod / (TIE_TOL * mod.max() or 1.0))))
+    tol = TIE_TOL * mod.max()
+    by_mod = np.argsort(-mod, kind="stable")
+    tops, top = [], np.inf
+    for m in mod[by_mod].tolist():
+        if top - m > tol:
+            top = m
+        tops.append(top)
+    first = np.empty_like(mod)  # the first modulus of each one's group
+    first[by_mod] = tops
+    return np.lexsort((np.angle(lams), -first))
 
 
 def _frequency_basis(lams, T: int, real: bool):

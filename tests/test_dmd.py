@@ -35,6 +35,7 @@ from cdmd.analysis import _cell_seed
 from cdmd.dmd import (
     COMPANION_MAX_T,
     TALL_FACTOR,
+    TIE_TOL,
     SnapshotPair,
     _eigen_order,
     _eigenvalues,
@@ -91,17 +92,20 @@ class TestSplitSnapshots:
             assert np.shares_memory(other.X1, other.X2)
             assert np.array_equal(exact_dmd(other).eigenvalues, model.eigenvalues)
 
-    def test_replaced_block_is_fitted_as_unshifted(self):
-        # dataclasses.replace hands the new pair the old trajectory; the fits
-        # must not take its QR for the new blocks.
+    @pytest.mark.parametrize("shape", [(60, 10), (12, 41)], ids=["tall", "wide"])
+    def test_replaced_block_is_fitted_as_unshifted(self, shape):
+        # dataclasses.replace builds the pair again: a new block, the
+        # time-reversed pair or a repeated block must not be fitted through
+        # the old trajectory or its QR.
         rng = np.random.default_rng(6)
-        pair = split_snapshots(rng.standard_normal((60, 10)))
-        exact_dmd(pair)
-        X2 = rng.standard_normal((60, 9))
-        replaced = dataclasses.replace(pair, X2=X2)
-        reference = SnapshotPair(pair.X1, X2)
-        assert np.array_equal(exact_dmd(replaced).eigenvalues, exact_dmd(reference).eigenvalues)
-        assert np.array_equal(centered_dmd(replaced).bias, centered_dmd(reference).bias)
+        pair = split_snapshots(rng.standard_normal(shape))
+        exact_dmd(pair), centered_dmd(pair)
+        X2 = rng.standard_normal(pair.X2.shape)
+        for blocks in ({"X2": X2}, {"X1": pair.X2, "X2": pair.X1}, {"X1": pair.X2}):
+            replaced = dataclasses.replace(pair, **blocks)
+            reference = SnapshotPair(*(np.array(blocks.get(name, getattr(pair, name))) for name in ("X1", "X2")))
+            assert np.array_equal(exact_dmd(replaced).eigenvalues, exact_dmd(reference).eigenvalues)
+            assert np.array_equal(centered_dmd(replaced).bias, centered_dmd(reference).bias)
 
     @pytest.mark.parametrize("shape", [(60, 10), (12, 41)], ids=["tall", "wide"])
     def test_changing_the_source_leaves_fits_unchanged(self, shape):
@@ -166,6 +170,23 @@ class TestCoordinateStep:
         shapes = _svd_shapes(monkeypatch, FITS[fit], pair)
         assert (pair.T, pair.n) in shapes
         assert (pair.n, pair.T) not in shapes
+
+    @pytest.mark.filterwarnings("error")
+    def test_tall_exact_fit_where_the_column_sums_overflow(self):
+        # One row near 1e307: the sums behind its mean overflow, while the
+        # column norms and sigma_max do not, and an uncentered fit needs no
+        # mean. Scaling by a power of 2 leaves eigenvalues and modes unchanged.
+        rng = np.random.default_rng(8)
+        X = rng.uniform(-1e-3, 1e-3, (100, 49))
+        X[0] = rng.uniform(1.0, 2.0, 49)
+        scale = 2.0**1019
+        with np.errstate(over="ignore"):
+            assert not np.isfinite((X[0, :-1] * scale).sum())
+        small, big = exact_dmd(split_snapshots(X)), exact_dmd(split_snapshots(X * scale))
+        assert big.rank_used == small.rank_used == 48
+        assert np.max(np.abs(big.eigenvalues - small.eigenvalues)) < 1e-12
+        assert np.max(np.abs(big.modes - small.modes)) < 1e-11
+        assert np.max(np.abs(big.amplitudes / scale - small.amplitudes)) < 1e-12 * np.max(np.abs(small.amplitudes))
 
     @pytest.mark.filterwarnings("error")
     def test_nonfinite_coordinates_rejected(self):
@@ -319,13 +340,19 @@ class TestExactDmd:
 
     def test_eigenvalue_order_under_modulus_ties(self):
         # Descending modulus, then ascending angle; a conjugate pair whose
-        # moduli differ by one ulp is ordered by angle, whichever is larger.
+        # moduli differ by one ulp is ordered by angle, whichever is larger,
+        # also one ulp either side of (k + 1/2) TIE_TOL max |lam|, where
+        # rounding the moduli to multiples of the tolerance would part it.
         upper = 0.6 + 0.7j
         lower = complex(0.6, -np.nextafter(np.nextafter(0.7, 0.0), 0.0))
         assert abs(upper) - abs(lower) == np.spacing(abs(lower))
         for lams in ([0.5, upper, lower, 0.95], [lower, 0.5, 0.95, upper]):
             lams = np.array(lams)
             assert np.array_equal(lams[_eigen_order(lams)], [0.95, lower, upper, 0.5])
+        tol = TIE_TOL * 2.0
+        below, above = np.nextafter((1e11 + 0.5) * tol, 0.0), np.nextafter((1e11 + 0.5) * tol, 1.0)
+        assert np.round(below / tol) != np.round(above / tol)
+        assert np.array_equal(_eigen_order(np.array([2.0, above * 1j, -below * 1j, 0.1])), [0, 2, 1, 3])
 
     @pytest.mark.filterwarnings("error")
     def test_subnormal_singular_value_rejected(self):
