@@ -17,7 +17,7 @@ from .linalg import effective_rank
 from .synth import LinearSystemSpec, NoiseSpec, add_noise, simulate, well_posed_initial_state
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectrumReport:
     """Distances from estimated eigenvalues to the nearest true eigenvalue."""
 
@@ -26,7 +26,7 @@ class SpectrumReport:
     per_eigen_distances: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoiseSweepResult:
     etas: np.ndarray
     median_distance_centered: np.ndarray
@@ -34,7 +34,7 @@ class NoiseSweepResult:
     realizations: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PowerSpectrum:
     frequencies: np.ndarray
     power: np.ndarray
@@ -147,11 +147,12 @@ def noise_sweep(
 
     For each noise level the R realizations re-measure the trajectory with
     fresh Gaussian noise, one seed per (level, realization) cell, and are
-    stacked into one (R, n, T) fit per method: one batched SVD and one
-    batched eigensolve, at the noiseless data rank (the centered rank drops by
-    one when the raw data carry a constant/background mode). Only the
-    eigenvalues are computed; their distance to the truth is recorded per
-    cell, excluding the eigenvalue nearest 1 from the uncentered sums.
+    stacked into one (R, n, T+1) stack of trajectories, fitted once per
+    method: one batched SVD and one batched eigensolve, at the noiseless data
+    rank (the centered rank drops by one when the raw data carry a
+    constant/background mode). Only the eigenvalues are computed; their
+    distance to the truth is recorded per cell, excluding the eigenvalue
+    nearest 1 from the uncentered sums.
     Deterministic per ``base_seed``; each cell's noise does not depend on the
     other cells.
     """
@@ -173,9 +174,8 @@ def noise_sweep(
         Y = np.stack([
             add_noise(X, NoiseSpec(eta=float(eta), seed=_cell_seed(base_seed, i, j))) for j in range(realizations)
         ])
-        X1, X2 = Y[..., :-1], Y[..., 1:]
-        lam_c = _eigenvalues(X1, X2, rank_cen, centered=True)
-        lam_u = _eigenvalues(X1, X2, rank_unc)
+        lam_c = _eigenvalues(Y, rank_cen, centered=True)
+        lam_u = _eigenvalues(Y, rank_unc)
         med_c[i] = np.median(_nearest_truth_distances(lam_c, truth).sum(axis=-1))
         med_u[i] = np.median(_nearest_truth_distances(lam_u, truth, exclude_near_unity=True).sum(axis=-1))
     return NoiseSweepResult(etas, med_c, med_u, realizations)

@@ -51,7 +51,7 @@ def _read_only(M) -> np.ndarray:
     return M
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SnapshotPair:
     """One-step-shifted snapshot blocks of a measurement sequence.
 
@@ -65,7 +65,7 @@ class SnapshotPair:
 
     X1: np.ndarray
     X2: np.ndarray
-    _trajectory: np.ndarray | None = field(init=False, repr=False, compare=False)
+    _trajectory: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
         X1, X2, X = np.asarray(self.X1), np.asarray(self.X2), None
@@ -118,7 +118,7 @@ class SnapshotPair:
         return mu1, R
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DmdModel:
     """Eigenvalues, unit-norm modes, and initial-snapshot amplitudes."""
 
@@ -129,7 +129,7 @@ class DmdModel:
     rank_used: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CenteredDmdModel:
     """Centered decomposition plus the affine term it is equivalent to."""
 
@@ -138,7 +138,7 @@ class CenteredDmdModel:
     fixed_point: np.ndarray | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompanionModel:
     """Companion-matrix regression of the last snapshot on the earlier ones."""
 
@@ -155,7 +155,7 @@ def _companion_matrix(c) -> np.ndarray:
     return C
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrequencyModel:
     """Decomposition after projecting out known fixed-frequency content."""
 
@@ -202,9 +202,10 @@ def _fit_amplitudes(modes, x0):
 def _coordinates(data, centered: bool):
     """Coordinates of a pair, shifted by ``mu1`` when ``centered``, in an orthonormal basis ``Q`` of its columns.
 
-    ``data`` is a SnapshotPair or a tuple ``(X1, X2)`` of (R, n, T) stacks of
-    pairs. Returns ``C1``, ``C2``, ``cs``, ``Y2`` and ``mu1``, the column mean
-    of ``X1`` (None, with ``cs``, unless ``centered``), with
+    ``data`` is a SnapshotPair or an (R, n, T+1) stack of trajectories, whose
+    pairs are ``X1 = data[..., :-1]`` and ``X2 = data[..., 1:]``. Returns
+    ``C1``, ``C2``, ``cs``, ``Y2`` and ``mu1``, the column mean of ``X1``
+    (None, with ``cs``, unless ``centered``), with
     ``Y1 = X1 - s 1^T = Q C1``, ``Y2 = X2 - s 1^T = Q C2`` and ``cs = Q^H s``
     for the shift ``s = mu1`` (0 unless ``centered``). A tall shifted pair
     (``n >= TALL_FACTOR * (T + 1)``) reads both kinds from its one kept QR
@@ -217,19 +218,20 @@ def _coordinates(data, centered: bool):
       the columns of ``X1 - mu1 1^T`` sum to zero, so ``mu1`` need not lie in
       the span of the shifted trajectory, and the last row of ``R`` is not
       rounding.
-    Any other pair, and stacks, are their own coordinates (``Q = I``). When
-    centered, a shifted pair, or a stack whose blocks are shifted
-    (``X2[..., :-1]`` equals ``X1[..., 1:]``), makes one shifted copy of its
-    trajectories and returns both blocks as views into it. Wide pairs
-    (``n < T``) are factored through their transpose, so the one SVD is
-    T x n (see ``linalg._svd``). A fit needs ``U_r^H`` only on vectors in
-    the range of the data, where it equals ``u_r^H Q^H`` with ``u_r`` from
-    the SVD of ``C1``. The shift by the column means makes rounding relative
-    to the fluctuations rather than to a column offset.
+    Any other pair, and stacks, are their own coordinates (``Q = I``); they
+    are views of the data unless centered. When centered, a shifted pair or a
+    stack makes one shifted copy of its trajectories and returns both blocks
+    as views into it. Wide pairs (``n < T``) are factored through their
+    transpose, so the one SVD is T x n (see ``linalg._svd``). A fit needs
+    ``U_r^H`` only on vectors in the range of the data, where it equals
+    ``u_r^H Q^H`` with ``u_r`` from the SVD of ``C1``. The shift by the
+    column means makes rounding relative to the fluctuations rather than to a
+    column offset.
     """
-    X1, X2, X = (*data, None) if isinstance(data, tuple) else (data.X1, data.X2, data._trajectory)
+    pair = isinstance(data, SnapshotPair)
+    X1, X2, X = (data.X1, data.X2, data._trajectory) if pair else (data[..., :-1], data[..., 1:], data)
     n, T = X1.shape[-2:]
-    if X is not None and n >= TALL_FACTOR * (T + 1):
+    if pair and X is not None and n >= TALL_FACTOR * (T + 1):
         mu1, R = data._factor
         if centered:
             return R[: T + 1, :T], R[: T + 1, 1 : T + 1], R[: T + 1, -1], X2 - mu1[:, None], mu1
@@ -238,14 +240,10 @@ def _coordinates(data, centered: bool):
     if not centered:
         return X1, X2, None, X2, None
     mu1 = X1.mean(axis=-1)
-    if X is not None:
-        Y = X - mu1[:, None]
-    elif isinstance(data, tuple) and np.array_equal(X2[..., :-1], X1[..., 1:]):
-        Y = np.concatenate([X1, X2[..., -1:]], axis=-1, dtype=np.result_type(X1, mu1))
-        Y -= mu1[..., None]
-    else:
-        Y2 = X2 - mu1[..., None]
-        return X1 - mu1[..., None], Y2, mu1, Y2, mu1
+    if X is None:
+        Y2 = X2 - mu1[:, None]
+        return X1 - mu1[:, None], Y2, mu1, Y2, mu1
+    Y = X - mu1[..., None]
     return Y[..., :T], Y[..., 1:], mu1, Y[..., 1:], mu1
 
 
@@ -281,39 +279,6 @@ def _reduce(C1, C2, r: int | None, rel_tol: float, removed=None, scale=0.0):
     return u, W, CW, Atilde
 
 
-def _svd_fit(C1, C2, lift, r: int | None, rel_tol: float, method: str, removed=None, scale=0.0):
-    """The one SVD of every fit: the model, ``u_r``, ``Z`` and ``Atilde = u_r^H C2 W``.
-
-    ``C1`` and ``C2`` less ``removed`` are coordinates of the fitted pair
-    (see ``_reduce``, which also takes the rank rule's ``scale``), and
-    ``lift(W)`` forms the n-space ``Z = X2 W`` of that pair
-    (``W = V_r Sigma_r^-1``) from the caller's data. After the SVD the fit
-    stays in coordinates: the modes ``Z V / lambda``, canonicalized as one
-    matrix, are its only n-space lift. The amplitudes are fitted on the
-    modes' coordinates ``CW V / lambda`` (scaled alike) against ``C1[:, 0]``,
-    the first snapshot of the fitted pair, so a tall pair's least-squares
-    fit has T + 1 or T + 2 rows, not n. The rank-``r`` operator
-    ``X2 X1_r^+`` is ``Z U_r^H``; callers keep it factored, never n x n.
-    """
-    u, W, CW, Atilde = _reduce(C1, C2, r, rel_tol, removed, scale)
-    with np.errstate(over="ignore", invalid="ignore"):
-        Z = lift(W)
-    if not np.all(np.isfinite(Z)):
-        raise InvalidInput(_OVERFLOW)
-    r = Atilde.shape[0]
-    lams, V = np.linalg.eig(Atilde)
-    order = _eigen_order(lams)
-    lams, V = lams[order], V[:, order]
-
-    # Near-zero eigenvalues get zero modes (the projection divides by lambda).
-    mod = np.abs(lams)
-    keep = (mod > 0.0) & (mod >= ZERO_TOL_FACTOR * mod.max())
-    V = np.where(keep, V, 0.0) / np.where(keep, lams, 1.0)
-    modes, scale = canonicalize_mode((V.T @ Z.T).T)  # column-major: each column is divided along contiguous memory
-    amps = _fit_amplitudes(CW @ V / scale, C1[:, 0])
-    return DmdModel(lams, modes, amps, method, r), u, Z, Atilde
-
-
 def _eigen_order(lams) -> np.ndarray:
     """The order of ``lams`` by descending modulus, then ascending angle among moduli that tie.
 
@@ -341,10 +306,13 @@ def _frequency_basis(lams, T: int, real: bool):
     from one QR of ``Lt^T``. ``Q`` is also real, from one QR of
     ``[Re lam^t, Im lam^t]``, for real data (``real``) and a conjugate-closed
     ``lams``, so the projected data stay real; otherwise it comes from one QR
-    of ``Lt^H``. Raises InvalidInput, naming the two closest lams, where
-    ``Lt Q`` is singular at the rank rule's tolerance (1-norm condition
-    number above ``1 / EXACT_TOL``).
+    of ``Lt^H``. An empty set gives a T x 0 ``Q`` and a 0 x 0 inverse.
+    Raises InvalidInput, naming the two closest lams, where ``Lt Q`` is
+    singular at the rank rule's tolerance (1-norm condition number above
+    ``1 / EXACT_TOL``).
     """
+    if not lams.size:
+        return np.empty((T, 0)), np.empty((0, 0))
     complex_lams = bool(np.any(lams.imag))
     Lt = vandermonde(lams if complex_lams else lams.real, T).T
     if real and complex_lams and np.array_equal(np.sort_complex(lams), np.sort_complex(lams.conj())):
@@ -365,25 +333,32 @@ def _frequency_basis(lams, T: int, real: bool):
 def _projected_fit(data, lams, r: int | None, rel_tol: float, method: str | None = None):
     """DMD of a pair, or eigenvalues of a stack, with the row space of ``Lt`` over ``lams`` projected out.
 
-    ``data`` is a SnapshotPair, or without a ``method`` a tuple ``(X1, X2)``
-    of (R, n, T) stacks. Both blocks are right-multiplied by ``I - Q Q^H``
-    (see ``_frequency_basis``); centering is this at ``lams = [1]``. With 1
-    among ``lams`` the pair is first shifted by ``mu1``, the column mean of
-    ``X1``: as ``1^T (I - Q Q^H) = 0``, the projection is unchanged and its
-    rounding is relative to the fluctuations, not to a column offset. The
-    rank rule then sees the shifted data at the scale of the data before the
-    shift, ``max(sigma_max(C1p), ||mu1|| sqrt(T))``, so the rounding of the
-    offset that the input carries is not counted as rank. In coordinates
-    (see ``_coordinates``) ``C1`` is projected in the buffer of
-    ``(C1 Q) Q^H``, and ``C2`` only in r-space, as the removed term
-    ``(C2 Q, Q^H)`` of ``_reduce``. Without a ``method`` returns
-    ``eigvals(Atilde)`` of a pair or a stack; with one, the model with
-    ``Z = Y2 (W - Q (Q^H W))`` (the vanishing ``Q^H W`` keeps ``Z`` accurate
-    when the removed content dominates ``X2``), ``Z``, ``Atilde``,
-    ``B = (X2 - Z U_r^H X1) Lt^+`` and ``U_r^H B``, from
-    ``X Lt^+ = (X Q) (Lt Q)^-1`` and ``U_r^H X Q = u_r^H (C Q + cs 1^T Q)``.
+    ``data`` is a SnapshotPair, or without a ``method`` an (R, n, T+1) stack
+    of trajectories (see ``_coordinates``). Both blocks are right-multiplied
+    by ``I - Q Q^H`` (see ``_frequency_basis``). Over an empty ``lams`` this
+    is exact DMD on a view of the data; at ``lams = [1]`` it is centering.
+    With 1 among ``lams`` the pair is first shifted by ``mu1``, the column
+    mean of ``X1``: as ``1^T (I - Q Q^H) = 0``, the projection is unchanged
+    and its rounding is relative to the fluctuations, not to a column offset.
+    The rank rule then sees the shifted data at the scale of the data before
+    the shift, ``max(sigma_max(C1p), ||mu1|| sqrt(T))``, so the rounding of
+    the offset that the input carries is not counted as rank. In coordinates
+    ``C1`` is projected in the buffer of ``(C1 Q) Q^H``, and ``C2`` only in
+    r-space, as the removed term ``(C2 Q, Q^H)`` of ``_reduce``.
+
+    Without a ``method`` returns ``eigvals(Atilde)``. With one the fit stays
+    in coordinates after its one SVD: the modes ``Z V / lambda`` of
+    ``Z = Y2 (W - Q (Q^H W))``, ``W = V_r Sigma_r^-1``, canonicalized as one
+    matrix, are its only n-space lift (the vanishing ``Q^H W`` keeps ``Z``
+    accurate when the removed content dominates ``X2``). The amplitudes are
+    fitted on the modes' coordinates ``CW V / lambda`` against ``C1p[:, 0]``,
+    so a tall pair's least-squares fit has T + 1 or T + 2 rows, not n.
+    Returns the model, ``Z``, ``Atilde``, ``B = (X2 - Z U_r^H X1) Lt^+`` and
+    ``U_r^H B``, from ``X Lt^+ = (X Q) (Lt Q)^-1`` and
+    ``U_r^H X Q = u_r^H (C Q + cs 1^T Q)``. The rank-``r`` operator
+    ``Z U_r^H`` stays factored, never n x n.
     """
-    X1, X2 = data if isinstance(data, tuple) else (data.X1, data.X2)
+    X1, X2 = (data.X1, data.X2) if isinstance(data, SnapshotPair) else (data[..., :-1], data[..., 1:])
     Q, LtQ_inv = _frequency_basis(lams, X1.shape[-1], not (np.iscomplexobj(X1) or np.iscomplexobj(X2)))
     Qh = Q.conj().T
     with np.errstate(over="ignore", invalid="ignore"):
@@ -393,11 +368,28 @@ def _projected_fit(data, lams, r: int | None, rel_tol: float, method: str | None
         scale = 0.0 if mu1 is None else np.linalg.norm(mu1, axis=-1)[..., None] * np.sqrt(X1.shape[-1])
     if not (np.all(np.isfinite(C1Q)) and np.all(np.isfinite(C2Q))):
         raise InvalidInput("the shifted snapshot matrices or their fixed-frequency content are non-finite")
-    C1p = C1Q @ Qh
-    np.subtract(C1, C1p, out=C1p)  # C1 - (C1 Q) Q^H, in the buffer of (C1 Q) Q^H
+    C1p, removed = C1, None  # over the empty set, a view of the data
+    if lams.size:
+        C1p, removed = C1Q @ Qh, (C2Q, Qh)
+        np.subtract(C1, C1p, out=C1p)  # C1 - (C1 Q) Q^H, in the buffer of (C1 Q) Q^H
+    u, W, CW, Atilde = _reduce(C1p, C2, r, rel_tol, removed, scale)
     if method is None:
-        return np.linalg.eigvals(_reduce(C1p, C2, r, rel_tol, (C2Q, Qh), scale)[3])
-    base, u, Z, Atilde = _svd_fit(C1p, C2, lambda W: Y2 @ (W - Q @ (Qh @ W)), r, rel_tol, method, (C2Q, Qh), scale)
+        return np.linalg.eigvals(Atilde)
+    with np.errstate(over="ignore", invalid="ignore"):
+        Z = Y2 @ (W if removed is None else W - Q @ (Qh @ W))
+    if not np.all(np.isfinite(Z)):
+        raise InvalidInput(_OVERFLOW)
+    eigs, V = np.linalg.eig(Atilde)
+    order = _eigen_order(eigs)
+    eigs, V = eigs[order], V[:, order]
+
+    # Near-zero eigenvalues get zero modes (the projection divides by lambda).
+    mod = np.abs(eigs)
+    keep = (mod > 0.0) & (mod >= ZERO_TOL_FACTOR * mod.max())
+    V = np.where(keep, V, 0.0) / np.where(keep, eigs, 1.0)
+    modes, factors = canonicalize_mode((V.T @ Z.T).T)  # column-major: each column is divided along contiguous memory
+    base = DmdModel(eigs, modes, _fit_amplitudes(CW @ V / factors, C1p[:, 0]), method, Atilde.shape[0])
+
     uC1Q, uC2Q = (u.conj().T @ (CQ if cs is None else CQ + np.outer(cs, Q.sum(axis=0))) for CQ in (C1Q, C2Q))
     with np.errstate(over="ignore", invalid="ignore"):
         B = (X2 @ Q - Z @ uC1Q) @ LtQ_inv
@@ -406,19 +398,17 @@ def _projected_fit(data, lams, r: int | None, rel_tol: float, method: str | None
     return base, Z, Atilde, B, (uC2Q - Atilde @ uC1Q) @ LtQ_inv
 
 
-def _eigenvalues(X1, X2, r: int, centered: bool = False) -> np.ndarray:
-    """Eigenvalues of the rank-``r`` DMD operator, without modes or amplitudes.
+def _eigenvalues(Y, r: int, centered: bool = False) -> np.ndarray:
+    """Eigenvalues of the rank-``r`` DMD operator of each trajectory in a stack, without modes or amplitudes.
 
-    ``X1`` and ``X2`` are one n x T pair or (R, n, T) stacks of pairs, fitted
-    on themselves; with ``centered`` each pair is centered as in
-    ``centered_dmd``. Returns ``eigvals(Atilde)`` in LAPACK order, shape (r,)
-    or (R, r): up to order, the ``eigenvalues`` of ``exact_dmd`` or of
+    ``Y`` is an (R, n, T+1) stack of trajectories, each fitted on its own
+    shifted pair; with ``centered`` each pair is centered as in
+    ``centered_dmd``. Returns ``eigvals(Atilde)`` in LAPACK order, shape
+    (R, r): up to order, the ``eigenvalues`` of ``exact_dmd`` or of
     ``centered_dmd(...).base`` at the same rank.
     """
     with _one_blas_thread():
-        if centered:
-            return _projected_fit((X1, X2), np.ones(1), r, EXACT_TOL)
-        return np.linalg.eigvals(_reduce(X1, X2, r, EXACT_TOL)[3])
+        return _projected_fit(Y, np.ones(1) if centered else np.empty(0), r, EXACT_TOL)
 
 
 def exact_dmd(pair: SnapshotPair, r: int | None = None, rel_tol: float = EXACT_TOL) -> DmdModel:
@@ -426,11 +416,11 @@ def exact_dmd(pair: SnapshotPair, r: int | None = None, rel_tol: float = EXACT_T
 
     Defaults to the numerically exact rank of ``X1``. Modes are the exact
     modes (projection of the reduced eigenvectors through ``X2``), scaled to
-    unit norm; near-zero eigenvalues get zero modes.
+    unit norm; near-zero eigenvalues get zero modes. This is the projected
+    fit over an empty set of fixed frequencies (see ``_projected_fit``).
     """
     with _one_blas_thread():
-        C1, C2 = _coordinates(pair, False)[:2]
-        return _svd_fit(C1, C2, lambda W: pair.X2 @ W, r, rel_tol, "exact")[0]
+        return _projected_fit(pair, np.empty(0), r, rel_tol, "exact")[0]
 
 
 def centered_dmd(

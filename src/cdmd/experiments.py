@@ -304,9 +304,8 @@ def _run_fig6(seed, params, out_dir, rec):
     decay_uncentered = 0
     for start in range(0, n_seeds, 10):
         Y = np.stack([add_noise(X, NoiseSpec(eta=eta, seed=seed + k)) for k in range(start, min(start + 10, n_seeds))])
-        X1, X2 = Y[..., :-1], Y[..., 1:]
-        grow_centered += int(np.sum(np.max(np.abs(_eigenvalues(X1, X2, 3, centered=True)), axis=-1) > 1.0))
-        decay_uncentered += int(np.sum(np.max(np.abs(_eigenvalues(X1, X2, 3)), axis=-1) < 1.0))
+        grow_centered += int(np.sum(np.max(np.abs(_eigenvalues(Y, 3, centered=True)), axis=-1) > 1.0))
+        decay_uncentered += int(np.sum(np.max(np.abs(_eigenvalues(Y, 3)), axis=-1) < 1.0))
     rec.metrics.update(grow_centered=grow_centered, decay_uncentered=decay_uncentered, noise_seeds=n_seeds)
     rec.check("fig6_centered_majority_growing", grow_centered, n_seeds / 2, mode="gt")
     rec.check("fig6_uncentered_majority_decaying", decay_uncentered, n_seeds / 2, mode="gt")

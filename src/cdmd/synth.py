@@ -33,7 +33,7 @@ def _conjugate_closed(lams, tol=1e-9) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearSystemSpec:
     """Factorized description of a real system x_{j+1} = A x_j (+ b)."""
 
@@ -76,7 +76,7 @@ class LinearSystemSpec:
         return A.real
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LorenzParams:
     sigma: float = 10.0
     rho: float = 28.0

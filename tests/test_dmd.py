@@ -13,12 +13,14 @@ from cdmd import (
     InvalidInput,
     LorenzParams,
     NoiseSpec,
+    NoiseSweepResult,
     RankTooHigh,
     add_noise,
     affine_dmd_direct,
     centered_dmd,
     companion_dmd,
     consistency_residual,
+    dft_power_spectrum,
     exact_dmd,
     frequency_subtracted_dmd,
     lorenz_rk4,
@@ -26,7 +28,9 @@ from cdmd import (
     random_linear_system,
     reconstruct,
     simulate,
+    spectral_distance,
     split_snapshots,
+    synth_line_noise,
     synth_video,
     well_posed_initial_state,
 )
@@ -123,6 +127,29 @@ class TestSplitSnapshots:
             assert np.array_equal(centered1.fixed_point, centered2.fixed_point)
 
 
+ARRAY_DATACLASSES = {
+    "SnapshotPair": lambda: split_snapshots(golden_affine_trajectory()[1]),
+    "DmdModel": lambda: exact_dmd(split_snapshots(golden_affine_trajectory()[1])),
+    "CenteredDmdModel": lambda: centered_dmd(split_snapshots(golden_affine_trajectory()[1])),
+    "FrequencyModel": lambda: frequency_subtracted_dmd(split_snapshots(golden_affine_trajectory()[1]), [1.0]),
+    "CompanionModel": lambda: companion_dmd(golden_affine_trajectory()[1]),
+    "LinearSystemSpec": lambda: golden_affine_trajectory()[0],
+    "LorenzParams": LorenzParams,
+    "SpectrumReport": lambda: spectral_distance([0.5, 0.9], [0.5, 0.9]),
+    "NoiseSweepResult": lambda: NoiseSweepResult(np.ones(2), np.ones(2), np.ones(2), 3),
+    "PowerSpectrum": lambda: dft_power_spectrum(np.ones((2, 4)), 1.0),
+}
+
+
+@pytest.mark.parametrize("make", ARRAY_DATACLASSES.values(), ids=ARRAY_DATACLASSES.keys())
+def test_array_dataclasses_compare_by_identity(make):
+    # Field-wise == would ask NumPy for the truth value of an array comparison,
+    # and a field-wise hash would hash an array.
+    a, b = make(), make()
+    assert a == a and not (a == b) and a != b
+    assert hash(a) == hash(a) and len({a, b}) == 2
+
+
 def _svd_shapes(monkeypatch, fit, pair):
     """Shapes of the matrices ``fit(pair)`` passes to ``numpy.linalg.svd``."""
     shapes = []
@@ -203,10 +230,8 @@ ONE_SVD_FITS = {
     "freq_complex_data": lambda pair: frequency_subtracted_dmd(
         SnapshotPair(pair.X1 + 1j * pair.X1[::-1], pair.X2 + 1j * pair.X2[::-1]), [np.exp(0.7j), np.exp(-0.7j)]
     ),
-    "eigenvalues": lambda pair: _eigenvalues(np.stack([pair.X1, pair.X1]), np.stack([pair.X2, pair.X2]), 3),
-    "eigenvalues_centered": lambda pair: _eigenvalues(
-        np.stack([pair.X1, pair.X1]), np.stack([pair.X2, pair.X2]), 3, centered=True
-    ),
+    "eigenvalues": lambda pair: _eigenvalues(np.stack([pair._trajectory] * 2), 3),
+    "eigenvalues_centered": lambda pair: _eigenvalues(np.stack([pair._trajectory] * 2), 3, centered=True),
 }
 
 
@@ -366,6 +391,19 @@ class TestExactDmd:
         with pytest.raises(InvalidInput, match="overflows"):
             exact_dmd(SnapshotPair([[1e-300, 0.0]], [[1e10, 0.0]]))
 
+    def test_wide_fit_holds_no_copy_of_the_data(self):
+        # Over the empty set of fixed frequencies the fitted block is X1
+        # itself, a view: the SVD's T x n factor sets the peak, about 1.2
+        # blocks of X1's size. A copy of X1 would add one more block.
+        pair = split_snapshots(synth_line_noise(64, 1000.0, 5.0, 60.0, seed=0))
+        tracemalloc.start()
+        try:
+            exact_dmd(pair, r=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * pair.X1.nbytes
+
 
 class TestCenteredDmd:
     def test_golden_affine_example(self):
@@ -482,7 +520,7 @@ def _assert_same_spectrum(a, b):
 
 
 class TestBatchedEigenvalues:
-    """The eigenvalue-only path, for one pair and for stacks, against full fits."""
+    """The eigenvalue-only path on stacks of trajectories, against full fits."""
 
     def test_noise_grid_stack_matches_looped_fits(self):
         lams = np.append(random_linear_system(8, 4, seed=70).eigenvalues, 1.0)
@@ -490,8 +528,8 @@ class TestBatchedEigenvalues:
         X = simulate(spec, well_posed_initial_state(spec, seed=72), 20)
         for i, eta in enumerate([1e-5, 1e-3, 1e-2]):
             Y = np.stack([add_noise(X, NoiseSpec(eta, _cell_seed(4, i, j))) for j in range(6)])
-            lam_c = _eigenvalues(Y[..., :-1], Y[..., 1:], 4, centered=True)
-            lam_u = _eigenvalues(Y[..., :-1], Y[..., 1:], 5)
+            lam_c = _eigenvalues(Y, 4, centered=True)
+            lam_u = _eigenvalues(Y, 5)
             for j, Yj in enumerate(Y):
                 pair = split_snapshots(Yj)
                 _assert_same_spectrum(lam_c[j], centered_dmd(pair, r=4).base.eigenvalues)
@@ -499,35 +537,37 @@ class TestBatchedEigenvalues:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_lorenz_pair_matches_fits(self, seed):
-        pair = split_snapshots(add_noise(lorenz_rk4(LorenzParams()), NoiseSpec(eta=0.03, seed=seed)))
-        _assert_same_spectrum(_eigenvalues(pair.X1, pair.X2, 3, centered=True), centered_dmd(pair, r=3).base.eigenvalues)
-        _assert_same_spectrum(_eigenvalues(pair.X1, pair.X2, 3), exact_dmd(pair, r=3).eigenvalues)
+        X = add_noise(lorenz_rk4(LorenzParams()), NoiseSpec(eta=0.03, seed=seed))
+        pair = split_snapshots(X)
+        _assert_same_spectrum(_eigenvalues(X[None], 3, centered=True)[0], centered_dmd(pair, r=3).base.eigenvalues)
+        _assert_same_spectrum(_eigenvalues(X[None], 3)[0], exact_dmd(pair, r=3).eigenvalues)
 
     def test_rank_deficient_slice_rejected(self):
         rng = np.random.default_rng(5)
         stack = rng.standard_normal((3, 4, 9))
         stack[1] = np.outer(rng.standard_normal(4), rng.standard_normal(9))  # rank 1
         with pytest.raises(RankTooHigh):
-            _eigenvalues(stack[..., :-1], stack[..., 1:], 2)
-        assert _eigenvalues(stack[..., :-1], stack[..., 1:], 1).shape == (3, 1)
+            _eigenvalues(stack, 2)
+        assert _eigenvalues(stack, 1).shape == (3, 1)
 
     @pytest.mark.filterwarnings("error")
     def test_subnormal_slice_rejected(self):
-        X1 = np.array([[[1.0, 2.0]], [[5e-324, 0.0]], [[3.0, 1.0]]])
+        # The second slice's X1 = [5e-324, 0] has a subnormal singular value.
+        Y = np.array([[[1.0, 2.0, 1.0]], [[5e-324, 0.0, 1.0]], [[3.0, 1.0, 1.0]]])
         with pytest.raises(InvalidInput, match="too small to invert"):
-            _eigenvalues(X1, np.ones_like(X1), 1)
+            _eigenvalues(Y, 1)
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_slice_rejected(self):
-        X1 = np.array([[[1.0, 2.0]], [[1e-300, 0.0]], [[3.0, 1.0]]])
-        X2 = np.array([[[1.0, 2.0]], [[1e10, 0.0]], [[3.0, 1.0]]])
+        # The second slice's 1 / sigma is finite, but X2 W overflows Atilde.
+        Y = np.array([[[2.0, 2.0, 2.0]], [[1e-300, 1e-300, 1e10]], [[3.0, 3.0, 3.0]]])
         with pytest.raises(InvalidInput, match="overflows"):
-            _eigenvalues(X1, X2, 1)
-        assert np.allclose(_eigenvalues(X1[[0, 2]], X2[[0, 2]], 1), 1.0)
+            _eigenvalues(Y, 1)
+        assert np.allclose(_eigenvalues(Y[[0, 2]], 1), 1.0)
 
     def test_stack_needs_rank(self):
         with pytest.raises(InvalidInput, match="explicit rank"):
-            _eigenvalues(np.ones((2, 3, 4)), np.ones((2, 3, 4)), None)
+            _eigenvalues(np.ones((2, 3, 5)), None)
 
 
 class TestAffineDmdDirect:
@@ -650,6 +690,12 @@ class TestFrequencySubtractedDmd:
         # tolerance: no Lt^+ to recover B with, so the fit raises, naming both.
         with pytest.raises(InvalidInput, match=r"\(1\+0j\) and \(1\.0000000000001\+0j\) are too close"):
             frequency_subtracted_dmd(cases[0][0], [1.0, 1.0 + 1e-13])
+
+    def test_empty_set_rejected(self):
+        # The projected fit takes an empty set (that is exact DMD); the public
+        # entry point still asks for at least one fixed frequency.
+        with pytest.raises(InvalidInput, match="fixed_lambdas must be nonempty"):
+            frequency_subtracted_dmd(split_snapshots(golden_affine_trajectory()[1]), [])
 
     def test_complex_forcing_removed(self):
         spec = random_linear_system(10, 5, seed=43, bias="random")

@@ -142,9 +142,8 @@ class TestOneRankRule:
         assert np.linalg.matrix_rank(pinv(pair.X1)) == 1
         assert effective_rank(pair.X1).r == 1
         assert consistency_residual(pair) == pytest.approx(rank_one_residual, rel=1e-12)
-        stack = np.stack([pair.X1, pair.X1]), np.stack([pair.X2, pair.X2])
         with pytest.raises(RankTooHigh):
-            _eigenvalues(*stack, r=2)
+            _eigenvalues(np.stack([pair._trajectory] * 2), r=2)
 
 
 class TestVandermonde:
@@ -278,8 +277,8 @@ class TestOneBlasThread:
         "exact": lambda p: exact_dmd(p),
         "centered": lambda p: centered_dmd(p),
         "freq_subtracted": lambda p: frequency_subtracted_dmd(p, [1.0]),
-        "eigenvalues": lambda p: _eigenvalues(p.X1, p.X2, r=3),
-        "stacked_centered": lambda p: _eigenvalues(np.stack([p.X1, p.X1]), np.stack([p.X2, p.X2]), r=3, centered=True),
+        "eigenvalues": lambda p: _eigenvalues(p._trajectory[None], r=3),
+        "stacked_centered": lambda p: _eigenvalues(np.stack([p._trajectory] * 2), r=3, centered=True),
     }
 
     @pytest.fixture
@@ -348,7 +347,7 @@ class TestOneBlasThread:
             (lambda p: centered_dmd(p, r=0), InvalidInput),
             (lambda p: frequency_subtracted_dmd(p, [1.0], r=50), RankTooHigh),
             (lambda p: frequency_subtracted_dmd(p, [1e10]), InvalidInput),
-            (lambda p: _eigenvalues(p.X1, p.X2, r=50, centered=True), RankTooHigh),
+            (lambda p: _eigenvalues(p._trajectory[None], r=50, centered=True), RankTooHigh),
         ],
     )
     def test_count_restored_after_raise(self, fit, error, threads):
