@@ -189,7 +189,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_decomposition(args) -> dict:
-    pair = split_snapshots(load_matrix(args.input))  # the pair's copy is the only one left during the fit
+    """The JSON payload of a decomposition command, fitted to the matrix in ``args.input``.
+
+    The file is loaded inside the call that takes it, so the loaded array is
+    dropped once the pair holds its copy.
+    """
+    if args.command == "companion":
+        model = companion_dmd(load_matrix(args.input))
+        return {
+            "method": "companion",
+            "coefficients": [float(v) for v in np.real(model.c_coeffs)],
+            "eigenvalues": _complex_list(model.companion_eigenvalues),
+            "residual_norm": model.residual_norm,
+        }
+    pair = split_snapshots(load_matrix(args.input))
     if args.command == "dmd":
         model = exact_dmd(pair, r=args.rank, rel_tol=args.tol)
         return {
@@ -197,6 +210,15 @@ def _run_decomposition(args) -> dict:
             "rank_used": model.rank_used,
             "eigenvalues": _complex_list(model.eigenvalues),
             "amplitudes": _complex_list(model.amplitudes),
+        }
+    if args.command == "freq-sub":
+        model = frequency_subtracted_dmd(pair, args.lambdas, r=args.rank, rel_tol=args.tol)
+        return {
+            "method": "freq-sub",
+            "rank_used": model.base.rank_used,
+            "fixed_lambdas": _complex_list(model.fixed_lambdas),
+            "eigenvalues": _complex_list(model.base.eigenvalues),
+            "forcing_norm": float(np.linalg.norm(model.B)),
         }
     model = centered_dmd(pair, r=args.rank, rel_tol=args.tol)
     return {
@@ -212,32 +234,8 @@ def _run_decomposition(args) -> dict:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command in ("dmd", "centered-dmd"):
+        if args.command != "experiment":
             _emit(_run_decomposition(args), args.out)
-        elif args.command == "companion":
-            model = companion_dmd(load_matrix(args.input))
-            _emit(
-                {
-                    "method": "companion",
-                    "coefficients": [float(v) for v in np.real(model.c_coeffs)],
-                    "eigenvalues": _complex_list(model.companion_eigenvalues),
-                    "residual_norm": model.residual_norm,
-                },
-                args.out,
-            )
-        elif args.command == "freq-sub":
-            pair = split_snapshots(load_matrix(args.input))
-            model = frequency_subtracted_dmd(pair, args.lambdas, r=args.rank, rel_tol=args.tol)
-            _emit(
-                {
-                    "method": "freq-sub",
-                    "rank_used": model.base.rank_used,
-                    "fixed_lambdas": _complex_list(model.fixed_lambdas),
-                    "eigenvalues": _complex_list(model.base.eigenvalues),
-                    "forcing_norm": float(np.linalg.norm(model.B)),
-                },
-                args.out,
-            )
         else:  # experiment
             overrides = dict(args.overrides)
             if args.input is not None:

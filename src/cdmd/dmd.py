@@ -147,14 +147,6 @@ class CompanionModel:
     residual_norm: float
 
 
-def _companion_matrix(c) -> np.ndarray:
-    T = c.shape[0]
-    C = np.zeros((T, T), dtype=c.dtype)
-    C[np.arange(1, T), np.arange(T - 1)] = 1.0
-    C[:, -1] = c
-    return C
-
-
 @dataclass(frozen=True, eq=False)
 class FrequencyModel:
     """Decomposition after projecting out known fixed-frequency content."""
@@ -247,38 +239,6 @@ def _coordinates(data, centered: bool):
     return Y[..., :T], Y[..., 1:], mu1, Y[..., 1:], mu1
 
 
-def _reduce(C1, C2, r: int | None, rel_tol: float, removed=None, scale=0.0):
-    """SVD of ``C1`` and the reduced operator: ``u_r``, ``W = V_r Sigma_r^-1``, ``CW`` and ``Atilde = u_r^H CW``.
-
-    Takes the coordinates of one pair or an (R, m, T) stack of pairs. ``CW``
-    is the fitted second block times ``W``: the coordinates of the fit's
-    ``Z``. With ``removed = (P, H)`` that block is ``C2 - P H`` for a rank-k
-    ``P H`` (a projection), and ``CW = C2 W - P (H W)``, so
-    ``C2 - P H`` is never formed. ``H W`` vanishes up to rounding, but that
-    rounding grows with the condition number of ``C1``, so the second term is
-    kept. ``r`` defaults to the rank rule of a single pair; a stack needs
-    ``r`` and raises RankTooHigh if any slice has fewer than ``r`` singular
-    values above ``rel_tol * max(sigma_max, scale)`` (see ``linalg._rank``).
-    Raises InvalidInput when ``Atilde`` is not finite (badly scaled data).
-    """
-    if r is None and C1.ndim > 2:
-        raise InvalidInput("a stack of snapshot pairs needs an explicit rank")
-    u, s, Vt = _truncated_svd(C1, rel_tol, r, scale)
-    if s.shape[-1] == 0:
-        raise InvalidInput("no singular value lies above rel_tol * sigma_max (is the data all zero?)")
-
-    W = Vt.conj().swapaxes(-1, -2) * _inverse_singular_values(s)[..., None, :]  # V_r Sigma_r^-1, (R x) T x r
-    with np.errstate(over="ignore", invalid="ignore"):
-        CW = C2 @ W
-        if removed is not None:
-            P, H = removed
-            CW = CW - P @ (H @ W)
-        Atilde = u.conj().swapaxes(-1, -2) @ CW
-    if not np.all(np.isfinite(Atilde)):
-        raise InvalidInput(_OVERFLOW)
-    return u, W, CW, Atilde
-
-
 def _eigen_order(lams) -> np.ndarray:
     """The order of ``lams`` by descending modulus, then ascending angle among moduli that tie.
 
@@ -306,13 +266,10 @@ def _frequency_basis(lams, T: int, real: bool):
     from one QR of ``Lt^T``. ``Q`` is also real, from one QR of
     ``[Re lam^t, Im lam^t]``, for real data (``real``) and a conjugate-closed
     ``lams``, so the projected data stay real; otherwise it comes from one QR
-    of ``Lt^H``. An empty set gives a T x 0 ``Q`` and a 0 x 0 inverse.
-    Raises InvalidInput, naming the two closest lams, where ``Lt Q`` is
-    singular at the rank rule's tolerance (1-norm condition number above
-    ``1 / EXACT_TOL``).
+    of ``Lt^H``. Raises InvalidInput, naming the two closest lams, where
+    ``Lt Q`` is singular at the rank rule's tolerance (1-norm condition
+    number above ``1 / EXACT_TOL``).
     """
-    if not lams.size:
-        return np.empty((T, 0)), np.empty((0, 0))
     complex_lams = bool(np.any(lams.imag))
     Lt = vandermonde(lams if complex_lams else lams.real, T).T
     if real and complex_lams and np.array_equal(np.sort_complex(lams), np.sort_complex(lams.conj())):
@@ -336,47 +293,71 @@ def _projected_fit(data, lams, r: int | None, rel_tol: float, method: str | None
     ``data`` is a SnapshotPair, or without a ``method`` an (R, n, T+1) stack
     of trajectories (see ``_coordinates``). Both blocks are right-multiplied
     by ``I - Q Q^H`` (see ``_frequency_basis``). Over an empty ``lams`` this
-    is exact DMD on a view of the data; at ``lams = [1]`` it is centering.
-    With 1 among ``lams`` the pair is first shifted by ``mu1``, the column
-    mean of ``X1``: as ``1^T (I - Q Q^H) = 0``, the projection is unchanged
-    and its rounding is relative to the fluctuations, not to a column offset.
-    The rank rule then sees the shifted data at the scale of the data before
-    the shift, ``max(sigma_max(C1p), ||mu1|| sqrt(T))``, so the rounding of
-    the offset that the input carries is not counted as rank. In coordinates
-    ``C1`` is projected in the buffer of ``(C1 Q) Q^H``, and ``C2`` only in
-    r-space, as the removed term ``(C2 Q, Q^H)`` of ``_reduce``.
+    is exact DMD on a view of the data, with no basis and no forcing terms;
+    at ``lams = [1]`` it is centering. With 1 among ``lams`` the pair is
+    first shifted by ``mu1``, the column mean of ``X1``: as
+    ``1^T (I - Q Q^H) = 0``, the projection is unchanged and its rounding is
+    relative to the fluctuations, not to a column offset. The rank rule then
+    sees the shifted data at the scale of the data before the shift,
+    ``max(sigma_max(C1p), ||mu1|| sqrt(T))``, so the rounding of the offset
+    that the input carries is not counted as rank. ``r`` defaults to the rank
+    rule of a single pair; a stack needs ``r`` and raises RankTooHigh if any
+    slice has fewer than ``r`` singular values above it (see ``linalg._rank``).
+
+    In coordinates ``C1`` is projected in the buffer of ``(C1 Q) Q^H``, and
+    ``C2`` only in r-space: with ``W = V_r Sigma_r^-1`` from the one SVD of
+    ``C1p``, the coordinates of the fit's ``Z`` are
+    ``CW = C2 W - (C2 Q) (Q^H W)`` and ``Atilde = u_r^H CW``. ``Q^H W``
+    vanishes up to rounding that grows with the condition number of ``C1``,
+    so it is kept here and in ``Z = Y2 (W - Q (Q^H W))``, which stays
+    accurate when the removed content dominates ``X2``. Raises InvalidInput
+    when ``Atilde`` is not finite (badly scaled data).
 
     Without a ``method`` returns ``eigvals(Atilde)``. With one the fit stays
-    in coordinates after its one SVD: the modes ``Z V / lambda`` of
-    ``Z = Y2 (W - Q (Q^H W))``, ``W = V_r Sigma_r^-1``, canonicalized as one
-    matrix, are its only n-space lift (the vanishing ``Q^H W`` keeps ``Z``
-    accurate when the removed content dominates ``X2``). The amplitudes are
-    fitted on the modes' coordinates ``CW V / lambda`` against ``C1p[:, 0]``,
-    so a tall pair's least-squares fit has T + 1 or T + 2 rows, not n.
-    Returns the model, ``Z``, ``Atilde``, ``B = (X2 - Z U_r^H X1) Lt^+`` and
-    ``U_r^H B``, from ``X Lt^+ = (X Q) (Lt Q)^-1`` and
+    in coordinates: the modes ``Z V / lambda``, canonicalized as one matrix,
+    are its only n-space lift, and the amplitudes are fitted on their
+    coordinates ``CW V / lambda`` against ``C1p[:, 0]``, so a tall pair's
+    least-squares fit has T + 1 or T + 2 rows, not n. Returns the model,
+    ``Z``, ``Atilde``, ``B = (X2 - Z U_r^H X1) Lt^+`` and ``U_r^H B`` (None
+    over the empty set), from ``X Lt^+ = (X Q) (Lt Q)^-1`` and
     ``U_r^H X Q = u_r^H (C Q + cs 1^T Q)``. The rank-``r`` operator
     ``Z U_r^H`` stays factored, never n x n.
     """
     X1, X2 = (data.X1, data.X2) if isinstance(data, SnapshotPair) else (data[..., :-1], data[..., 1:])
-    Q, LtQ_inv = _frequency_basis(lams, X1.shape[-1], not (np.iscomplexobj(X1) or np.iscomplexobj(X2)))
-    Qh = Q.conj().T
     with np.errstate(over="ignore", invalid="ignore"):
         C1, C2, cs, Y2, mu1 = _coordinates(data, bool(np.any(lams == 1.0)))
-        # Q Q^H 1 = 1 when shifted: no row of Q is zero, so a non-finite shifted C shows in C Q.
-        C1Q, C2Q = C1 @ Q, C2 @ Q
         scale = 0.0 if mu1 is None else np.linalg.norm(mu1, axis=-1)[..., None] * np.sqrt(X1.shape[-1])
-    if not (np.all(np.isfinite(C1Q)) and np.all(np.isfinite(C2Q))):
-        raise InvalidInput("the shifted snapshot matrices or their fixed-frequency content are non-finite")
-    C1p, removed = C1, None  # over the empty set, a view of the data
+    C1p = C1  # over the empty set, a view of the data
     if lams.size:
-        C1p, removed = C1Q @ Qh, (C2Q, Qh)
+        Q, LtQ_inv = _frequency_basis(lams, X1.shape[-1], not (np.iscomplexobj(X1) or np.iscomplexobj(X2)))
+        Qh = Q.conj().T
+        with np.errstate(over="ignore", invalid="ignore"):
+            # Q Q^H 1 = 1 when shifted: no row of Q is zero, so a non-finite shifted C shows in C Q.
+            C1Q, C2Q = C1 @ Q, C2 @ Q
+        if not (np.all(np.isfinite(C1Q)) and np.all(np.isfinite(C2Q))):
+            raise InvalidInput("the shifted snapshot matrices or their fixed-frequency content are non-finite")
+        C1p = C1Q @ Qh
         np.subtract(C1, C1p, out=C1p)  # C1 - (C1 Q) Q^H, in the buffer of (C1 Q) Q^H
-    u, W, CW, Atilde = _reduce(C1p, C2, r, rel_tol, removed, scale)
+    if r is None and C1p.ndim > 2:
+        raise InvalidInput("a stack of snapshot pairs needs an explicit rank")
+    u, s, Vt = _truncated_svd(C1p, rel_tol, r, scale)
+    if s.shape[-1] == 0:
+        raise InvalidInput("no singular value lies above rel_tol * sigma_max (is the data all zero?)")
+
+    W = Vt.conj().swapaxes(-1, -2) * _inverse_singular_values(s)[..., None, :]  # V_r Sigma_r^-1, (R x) T x r
+    del Vt  # a view that keeps the whole n x T factor of a wide C1p alive
+    with np.errstate(over="ignore", invalid="ignore"):
+        CW = C2 @ W
+        if lams.size:
+            QhW = Qh @ W
+            CW = CW - C2Q @ QhW
+        Atilde = u.conj().swapaxes(-1, -2) @ CW
+    if not np.all(np.isfinite(Atilde)):
+        raise InvalidInput(_OVERFLOW)
     if method is None:
         return np.linalg.eigvals(Atilde)
     with np.errstate(over="ignore", invalid="ignore"):
-        Z = Y2 @ (W if removed is None else W - Q @ (Qh @ W))
+        Z = Y2 @ (W - Q @ QhW if lams.size else W)
     if not np.all(np.isfinite(Z)):
         raise InvalidInput(_OVERFLOW)
     eigs, V = np.linalg.eig(Atilde)
@@ -389,6 +370,8 @@ def _projected_fit(data, lams, r: int | None, rel_tol: float, method: str | None
     V = np.where(keep, V, 0.0) / np.where(keep, eigs, 1.0)
     modes, factors = canonicalize_mode((V.T @ Z.T).T)  # column-major: each column is divided along contiguous memory
     base = DmdModel(eigs, modes, _fit_amplitudes(CW @ V / factors, C1p[:, 0]), method, Atilde.shape[0])
+    if not lams.size:
+        return base, Z, Atilde, None, None
 
     uC1Q, uC2Q = (u.conj().T @ (CQ if cs is None else CQ + np.outer(cs, Q.sum(axis=0))) for CQ in (C1Q, C2Q))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -486,8 +469,9 @@ def companion_dmd(X) -> CompanionModel:
     X1 = X[:, :-1]
     x_last = X[:, -1]
     c = pinv(X1) @ x_last
-    eigs = np.linalg.eigvals(_companion_matrix(c))
-    return CompanionModel(c, eigs, float(np.linalg.norm(x_last - X1 @ c)))
+    C = np.eye(c.shape[0], k=-1, dtype=c.dtype)  # ones below the diagonal, c in the last column
+    C[:, -1] = c
+    return CompanionModel(c, np.linalg.eigvals(C), float(np.linalg.norm(x_last - X1 @ c)))
 
 
 def frequency_subtracted_dmd(

@@ -23,6 +23,7 @@ from .analysis import (
     spectral_distance,
 )
 from .dmd import (
+    SnapshotPair,
     _eigenvalues,
     _frequency_basis,
     canonicalize_mode,
@@ -35,7 +36,7 @@ from .dmd import (
     split_snapshots,
 )
 from .exceptions import InvalidInput
-from .linalg import _one_blas_thread, effective_rank, pinv
+from .linalg import _one_blas_thread, effective_rank
 from .synth import (
     LorenzParams,
     NoiseSpec,
@@ -47,18 +48,6 @@ from .synth import (
     synth_video,
     well_posed_initial_state,
 )
-
-EXPERIMENTS = (
-    "fig2_spectra",
-    "fig3_noise",
-    "fig4_dft",
-    "fig5_fixed_freq",
-    "fig6_lorenz",
-    "fig7_video",
-    "fig8_linenoise",
-    "custom",
-)
-
 
 @dataclass
 class ExperimentConfig:
@@ -107,11 +96,12 @@ def _write_csv(path, header, rows):
         f.writelines(row_format % tuple(row) for row in [header, *rows])
 
 
-def _spectrum_rows(spectra):
+def _write_spectra(path, spectra):
+    """Write ``(method, eigenvalues)`` pairs as a ``method,re,im`` CSV, one row per eigenvalue."""
     rows = []
     for method, lams in spectra:
         rows.extend((method, float(np.real(l)), float(np.imag(l))) for l in np.atleast_1d(lams))
-    return rows
+    _write_csv(path, ["method", "re", "im"], rows)
 
 
 def _affine_system(n, T, r, seed, placement="unit_annulus"):
@@ -137,11 +127,11 @@ def _run_fig2(seed, params, out_dir, rec):
         if undersampled:
             cen = centered_dmd(pair)
             unc = exact_dmd(pair)
-            rel = np.linalg.norm(pair.X2 - (pair.X2 @ pinv(pair.X1)) @ pair.X1) / np.linalg.norm(pair.X2)
+            rel = consistency_residual(pair) / np.linalg.norm(pair.X2)
             rec.check(f"fig2{panel}_uncentered_one_step_recon", rel, 1e-8)
             Xb1 = pair.X1 - pair.X1.mean(axis=1, keepdims=True)
             Xb2 = pair.X2 - pair.X2.mean(axis=1, keepdims=True)
-            rel_c = np.linalg.norm(Xb2 - (Xb2 @ pinv(Xb1)) @ Xb1) / np.linalg.norm(Xb2)
+            rel_c = consistency_residual(SnapshotPair(Xb1, Xb2)) / np.linalg.norm(Xb2)
             rec.check(f"fig2{panel}_centered_one_step_recon", rel_c, 1e-8)
         else:
             cen = centered_dmd(pair, r=spec.r)
@@ -157,21 +147,16 @@ def _run_fig2(seed, params, out_dir, rec):
         rec.add_spectrum(f"{panel}_centered", cen.base.eigenvalues)
         rec.add_spectrum(f"{panel}_uncentered", unc.eigenvalues)
         rec.add_spectrum(f"{panel}_true", spec.eigenvalues)
-        _write_csv(
+        _write_spectra(
             out_dir / f"fig2_{panel}.csv",
-            ["method", "re", "im"],
-            _spectrum_rows([
-                ("true", spec.eigenvalues),
-                ("centered", cen.base.eigenvalues),
-                ("uncentered", unc.eigenvalues),
-            ]),
+            [("true", spec.eigenvalues), ("centered", cen.base.eigenvalues), ("uncentered", unc.eigenvalues)],
         )
     return {"panels": {k: v for k, v in panels.items()}}
 
 
 def _run_fig3(seed, params, out_dir, rec):
     n, T, r = 10, 30, 7
-    realizations = int(params.get("realizations", 100))
+    realizations = params["realizations"]
     etas = np.sort(np.append(np.logspace(-6, -2, 9), 0.005))
     # Linear system whose spectrum includes the unit eigenvalue, so the
     # uncentered fit carries the constant mode that the exclusion removes.
@@ -202,7 +187,7 @@ def _run_fig3(seed, params, out_dir, rec):
 
 def _run_fig4(seed, params, out_dir, rec):
     n, T, r = 10, 7, 5
-    eta = float(params.get("eta", 1e-3))
+    eta = params["eta"]
     spec, X = _affine_system(n, T, r, seed)
 
     mu = X.mean(axis=1, keepdims=True)
@@ -232,22 +217,21 @@ def _run_fig4(seed, params, out_dir, rec):
     rec.add_spectrum("companion_noisy", comp_noisy.companion_eigenvalues)
     rec.add_spectrum("centered_noisy", cen.base.eigenvalues)
     rec.add_spectrum("true", spec.eigenvalues)
-    _write_csv(
+    _write_spectra(
         out_dir / "fig4_dft.csv",
-        ["method", "re", "im"],
-        _spectrum_rows([
+        [
             ("true", spec.eigenvalues),
             ("companion_noiseless", comp.companion_eigenvalues),
             ("companion_noisy", comp_noisy.companion_eigenvalues),
             ("centered_noisy", cen.base.eigenvalues),
-        ]),
+        ],
     )
     return {"n": n, "T": T, "r": r, "eta": eta}
 
 
 def _run_fig5(seed, params, out_dir, rec):
     n, T, r = 10, 9, 5
-    lam = complex(params.get("lambda", -1j))
+    lam = params["lambda"]
     spec = random_linear_system(n, r, seed=seed, bias="random")
     x1 = well_posed_initial_state(spec, seed=seed + 1, forcing_lambda=lam)
     X = simulate(spec, x1, T, forcing_lambda=lam)
@@ -264,21 +248,15 @@ def _run_fig5(seed, params, out_dir, rec):
     rec.add_spectrum("subtracted", sub.base.eigenvalues)
     rec.add_spectrum("plain", plain.eigenvalues)
     rec.add_spectrum("true", spec.eigenvalues)
-    _write_csv(
+    _write_spectra(
         out_dir / "fig5_fixed_freq.csv",
-        ["method", "re", "im"],
-        _spectrum_rows([
-            ("true", spec.eigenvalues),
-            ("subtracted", sub.base.eigenvalues),
-            ("plain", plain.eigenvalues),
-        ]),
+        [("true", spec.eigenvalues), ("subtracted", sub.base.eigenvalues), ("plain", plain.eigenvalues)],
     )
     return {"n": n, "T": T, "r": r, "lambda": {"re": lam.real, "im": lam.imag}}
 
 
 def _run_fig6(seed, params, out_dir, rec):
-    eta = float(params.get("eta", 0.03))
-    n_seeds = int(params.get("noise_seeds", 100))
+    eta, n_seeds = params["eta"], params["noise_seeds"]
     X = lorenz_rk4(LorenzParams())
     pair = split_snapshots(X)
 
@@ -313,7 +291,7 @@ def _run_fig6(seed, params, out_dir, rec):
 
 
 def _run_fig7(seed, params, out_dir, rec):
-    X = synth_video(int(params.get("height", 16)), int(params.get("width", 16)), int(params.get("T", 48)), seed=seed)
+    X = synth_video(params["height"], params["width"], params["T"], seed=seed)
     pair = split_snapshots(X)
     unc = exact_dmd(pair)
     cen = centered_dmd(pair)
@@ -329,12 +307,8 @@ def _run_fig7(seed, params, out_dir, rec):
 
     rec.add_spectrum("uncentered", unc.eigenvalues)
     rec.add_spectrum("centered", cen.base.eigenvalues)
-    _write_csv(
-        out_dir / "fig7_video.csv",
-        ["method", "re", "im"],
-        _spectrum_rows([("uncentered", unc.eigenvalues), ("centered", cen.base.eigenvalues)]),
-    )
-    return {"height": int(params.get("height", 16)), "width": int(params.get("width", 16)), "T": int(params.get("T", 48))}
+    _write_spectra(out_dir / "fig7_video.csv", [("uncentered", unc.eigenvalues), ("centered", cen.base.eigenvalues)])
+    return params
 
 
 def _run_fig8(seed, params, out_dir, rec):
@@ -367,68 +341,76 @@ def _run_fig8(seed, params, out_dir, rec):
         ["frequency_hz", "power_before", "power_after"],
         np.column_stack([spec_before.frequencies, spec_before.power, spec_after.power]).tolist(),
     )
-    _write_csv(
-        out_dir / "fig8_spectra.csv",
-        ["method", "re", "im"],
-        _spectrum_rows([("before", before.eigenvalues), ("after", sub.base.eigenvalues)]),
-    )
+    _write_spectra(out_dir / "fig8_spectra.csv", [("before", before.eigenvalues), ("after", sub.base.eigenvalues)])
     return {"channels": channels, "fs": fs, "duration": duration, "f0": f0}
 
 
 def _run_custom(seed, params, out_dir, rec):
     from .cli import load_matrix
 
-    path = params.get("input")
+    path, rank = params["input"], params["rank"]
     if path is None:
         raise InvalidInput("custom experiment requires an 'input' override with a matrix path")
     pair = split_snapshots(load_matrix(path))
-    rank = params.get("rank")
-    unc = exact_dmd(pair, r=None if rank is None else int(rank))
-    cen = centered_dmd(pair, r=None if rank is None else int(rank))
+    unc = exact_dmd(pair, r=rank)
+    cen = centered_dmd(pair, r=rank)
     rec.add_spectrum("uncentered", unc.eigenvalues)
     rec.add_spectrum("centered", cen.base.eigenvalues)
     rec.metrics["consistency_residual"] = consistency_residual(pair)
-    _write_csv(
-        out_dir / "custom_spectra.csv",
-        ["method", "re", "im"],
-        _spectrum_rows([("uncentered", unc.eigenvalues), ("centered", cen.base.eigenvalues)]),
-    )
-    return {"input": str(path), "rank": rank}
+    _write_spectra(out_dir / "custom_spectra.csv", [("uncentered", unc.eigenvalues), ("centered", cen.base.eigenvalues)])
+    return params
 
 
+#: Each experiment's runner and its parameters as ``name: (type, default)``.
+#: ``run_experiment`` converts every override to its parameter's type.
 _RUNNERS = {
-    "fig2_spectra": _run_fig2,
-    "fig3_noise": _run_fig3,
-    "fig4_dft": _run_fig4,
-    "fig5_fixed_freq": _run_fig5,
-    "fig6_lorenz": _run_fig6,
-    "fig7_video": _run_fig7,
-    "fig8_linenoise": _run_fig8,
-    "custom": _run_custom,
+    "fig2_spectra": (_run_fig2, {}),
+    "fig3_noise": (_run_fig3, {"realizations": (int, 100)}),
+    "fig4_dft": (_run_fig4, {"eta": (float, 1e-3)}),
+    "fig5_fixed_freq": (_run_fig5, {"lambda": (complex, -1j)}),
+    "fig6_lorenz": (_run_fig6, {"eta": (float, 0.03), "noise_seeds": (int, 100)}),
+    "fig7_video": (_run_fig7, {"height": (int, 16), "width": (int, 16), "T": (int, 48)}),
+    "fig8_linenoise": (_run_fig8, {}),
+    "custom": (_run_custom, {"input": (str, None), "rank": (int, None)}),
 }
+EXPERIMENTS = tuple(_RUNNERS)
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
     """Run one experiment; writes the JSON summary and CSV data files.
 
-    Returns the summary dict; the ``assertions`` entries record the
-    pass/fail state of the experiment's self-checks.
+    The overrides are converted to the types of the experiment's parameters
+    first: a key the experiment does not take, or a value its type rejects,
+    raises InvalidInput naming both. Returns the summary dict; the
+    ``assertions`` entries record the pass/fail state of the experiment's
+    self-checks.
     """
+    name = config.experiment
+    runner, table = _RUNNERS[name]
+    params = {key: default for key, (_, default) in table.items()}
+    for key, value in config.overrides.items():
+        if key not in table:
+            raise InvalidInput(f"experiment {name!r} has no parameter {key!r}; it takes: {', '.join(table) or 'none'}")
+        kind = table[key][0]
+        try:
+            params[key] = kind(value)
+        except (TypeError, ValueError):
+            raise InvalidInput(f"experiment {name!r}: parameter {key!r} must be {kind.__name__}, got {value!r}") from None
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rec = _Recorder()
     with _one_blas_thread():  # the BLAS calls between fits too
-        params = _RUNNERS[config.experiment](config.seed, dict(config.overrides), out_dir, rec)
+        reported = runner(config.seed, params, out_dir, rec)
     summary = {
-        "experiment": config.experiment,
+        "experiment": name,
         "seed": config.seed,
         "version": __version__,
         "config": {"overrides": {k: str(v) for k, v in config.overrides.items()}, "output_dir": str(out_dir)},
-        "params": params,
+        "params": reported,
         "eigenvalues": rec.eigenvalues,
         "metrics": rec.metrics,
         "assertions": rec.assertions,
     }
-    with open(out_dir / f"{config.experiment}_summary.json", "w") as f:
+    with open(out_dir / f"{name}_summary.json", "w") as f:
         json.dump(summary, f, indent=2)
     return summary

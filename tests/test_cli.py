@@ -351,6 +351,27 @@ class TestExperiments:
                 writer.writerows(rows)
             assert path.read_bytes() == expected.read_bytes(), path.name
 
+    @pytest.mark.parametrize(
+        "name, setting, message",
+        [
+            ("fig3_noise", "realizations=abc", "experiment 'fig3_noise': parameter 'realizations' must be int, got 'abc'"),
+            ("fig5_fixed_freq", "lambda=foo", "experiment 'fig5_fixed_freq': parameter 'lambda' must be complex, got 'foo'"),
+            ("fig3_noise", "realisations=2", "experiment 'fig3_noise' has no parameter 'realisations'; it takes: realizations"),
+            ("fig2_spectra", "eta=0.1", "experiment 'fig2_spectra' has no parameter 'eta'; it takes: none"),
+        ],
+        ids=["malformed-int", "malformed-complex", "unknown-key", "no-parameters"],
+    )
+    def test_bad_override_rejected(self, name, setting, message, tmp_path, capsys):
+        # Checked before the runner starts: nothing is written.
+        assert main(["experiment", name, "--set", setting, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("option", [["--input", "m.txt"], ["--rank", "2"]], ids=["input", "rank"])
+    def test_custom_options_rejected_elsewhere(self, option, tmp_path, capsys):
+        assert main(["experiment", "fig2_spectra", *option, "--out", str(tmp_path)]) == 1
+        assert f"no parameter {option[0][2:]!r}" in capsys.readouterr().err
+
     def test_custom_requires_input(self, tmp_path, capsys):
         assert main(["experiment", "custom", "--out", str(tmp_path)]) == 1
 

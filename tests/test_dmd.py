@@ -272,6 +272,24 @@ def test_one_qr_per_pair(monkeypatch):
     assert rows.count(pair.n) == 1
 
 
+def test_exact_fit_builds_no_basis(monkeypatch):
+    # Over the empty set of fixed frequencies there is nothing to project out.
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _frequency_basis(*args)
+
+    monkeypatch.setattr("cdmd.dmd._frequency_basis", counting)
+    rng = np.random.default_rng(3)
+    for shape in [(60, 10), (12, 41)]:
+        exact_dmd(split_snapshots(rng.standard_normal(shape)))
+    _eigenvalues(rng.standard_normal((2, 5, 9)), 3)
+    assert calls == []
+    centered_dmd(split_snapshots(rng.standard_normal((12, 41))))
+    assert len(calls) == 1
+
+
 class TestTruncationRank:
     @pytest.mark.parametrize("r", [0, -1])
     @pytest.mark.parametrize("fit", FITS)
