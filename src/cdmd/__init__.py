@@ -19,7 +19,6 @@ from .dmd import (
     DmdModel,
     FrequencyModel,
     SnapshotPair,
-    affine_dmd_direct,
     centered_dmd,
     companion_dmd,
     consistency_residual,
@@ -35,7 +34,6 @@ from .linalg import (
     centered_pinv_update,
     effective_rank,
     pinv,
-    unit_eigenvalue_certificate,
     vandermonde,
 )
 from .synth import (

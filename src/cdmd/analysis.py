@@ -22,7 +22,6 @@ class SpectrumReport:
     """Distances from estimated eigenvalues to the nearest true eigenvalue."""
 
     matched_distance: float
-    excluded_near_unity: bool
     per_eigen_distances: np.ndarray
 
 
@@ -31,14 +30,12 @@ class NoiseSweepResult:
     etas: np.ndarray
     median_distance_centered: np.ndarray
     median_distance_uncentered: np.ndarray
-    realizations: int
 
 
 @dataclass(frozen=True, eq=False)
 class PowerSpectrum:
     frequencies: np.ndarray
     power: np.ndarray
-    method: str
 
 
 def spectral_distance(estimated, truth, exclude_near_unity: bool = False) -> SpectrumReport:
@@ -55,11 +52,7 @@ def spectral_distance(estimated, truth, exclude_near_unity: bool = False) -> Spe
     if est.size == 0:
         raise InvalidInput("estimated eigenvalue list must be nonempty")
     dists = _nearest_truth_distances(est, tru, exclude_near_unity)
-    return SpectrumReport(
-        matched_distance=float(np.sum(dists)),
-        excluded_near_unity=exclude_near_unity,
-        per_eigen_distances=dists,
-    )
+    return SpectrumReport(float(np.sum(dists)), dists)
 
 
 def _nearest_truth_distances(est, truth, exclude_near_unity: bool = False) -> np.ndarray:
@@ -178,7 +171,7 @@ def noise_sweep(
         lam_u = _eigenvalues(Y, rank_unc)
         med_c[i] = np.median(_nearest_truth_distances(lam_c, truth).sum(axis=-1))
         med_u[i] = np.median(_nearest_truth_distances(lam_u, truth, exclude_near_unity=True).sum(axis=-1))
-    return NoiseSweepResult(etas, med_c, med_u, realizations)
+    return NoiseSweepResult(etas, med_c, med_u)
 
 
 def dft_power_spectrum(X, fs: float) -> PowerSpectrum:
@@ -198,7 +191,7 @@ def dft_power_spectrum(X, fs: float) -> PowerSpectrum:
     if N % 2 == 0:
         weights[-1] = 1.0
     power = weights * np.sum(np.abs(coeffs) ** 2, axis=0)
-    return PowerSpectrum(freqs, power, "dft")
+    return PowerSpectrum(freqs, power)
 
 
 def dmd_power_spectrum(model: DmdModel, dt: float) -> PowerSpectrum:
@@ -219,7 +212,7 @@ def dmd_power_spectrum(model: DmdModel, dt: float) -> PowerSpectrum:
         else:
             merged[key] += p
     fr = np.array(sorted(merged))
-    return PowerSpectrum(fr, np.array([merged[f] for f in fr]), "dmd")
+    return PowerSpectrum(fr, np.array([merged[f] for f in fr]))
 
 
 def roots_of_unity_distance(eigenvalues, order: int) -> float:

@@ -1,8 +1,8 @@
 """Decomposition variants and diagnostics.
 
 Exact (SVD-based) DMD, DMD on centered data, the companion-matrix
-formulation, fixed-frequency subtraction, the explicit affine solve, modal
-reconstruction, and the linear-consistency residual.
+formulation, fixed-frequency subtraction, modal reconstruction, and the
+linear-consistency residual.
 """
 
 from __future__ import annotations
@@ -125,7 +125,6 @@ class DmdModel:
     eigenvalues: np.ndarray
     modes: np.ndarray
     amplitudes: np.ndarray
-    method: str
     rank_used: int
 
 
@@ -287,22 +286,26 @@ def _frequency_basis(lams, T: int, real: bool):
     return Q, inv
 
 
-def _projected_fit(data, lams, r: int | None, rel_tol: float, method: str | None = None):
+def _projected_fit(data, lams, r: int | None, rel_tol: float):
     """DMD of a pair, or eigenvalues of a stack, with the row space of ``Lt`` over ``lams`` projected out.
 
-    ``data`` is a SnapshotPair, or without a ``method`` an (R, n, T+1) stack
-    of trajectories (see ``_coordinates``). Both blocks are right-multiplied
-    by ``I - Q Q^H`` (see ``_frequency_basis``). Over an empty ``lams`` this
-    is exact DMD on a view of the data, with no basis and no forcing terms;
-    at ``lams = [1]`` it is centering. With 1 among ``lams`` the pair is
-    first shifted by ``mu1``, the column mean of ``X1``: as
-    ``1^T (I - Q Q^H) = 0``, the projection is unchanged and its rounding is
-    relative to the fluctuations, not to a column offset. The rank rule then
-    sees the shifted data at the scale of the data before the shift,
-    ``max(sigma_max(C1p), ||mu1|| sqrt(T))``, so the rounding of the offset
-    that the input carries is not counted as rank. ``r`` defaults to the rank
-    rule of a single pair; a stack needs ``r`` and raises RankTooHigh if any
-    slice has fewer than ``r`` singular values above it (see ``linalg._rank``).
+    ``data`` is a SnapshotPair or an (R, n, T+1) stack of trajectories (see
+    ``_coordinates``), and its type picks the result: a pair is fitted and
+    lifted to a model, a stack gets ``eigvals(Atilde)`` alone. Both blocks
+    are right-multiplied by ``I - Q Q^H`` (see ``_frequency_basis``). Over an
+    empty ``lams`` this is exact DMD on a view of the data, with no basis and
+    no forcing terms; at ``lams = [1]`` it is centering. With 1 among
+    ``lams`` the pair is first shifted by ``mu1``, the column mean of ``X1``:
+    as ``1^T (I - Q Q^H) = 0``, the projection is unchanged and its rounding
+    is relative to the fluctuations, not to a column offset. The rank rule
+    then sees the projected data at the scale of the data before the shift
+    and the projection, ``max(sigma_max(C1p), ||C1 Q||_F, ||mu1|| sqrt(T))``
+    per slice, so the rounding that the removed offset and fixed-frequency
+    content leave in the data is not counted as rank. Content that exceeds
+    the rest by more than about ``1 / rel_tol`` therefore leaves too few
+    singular values for the fit. ``r`` defaults to the rank rule of a single
+    pair; a stack needs ``r`` and raises RankTooHigh if any slice has fewer
+    than ``r`` singular values above it (see ``linalg._rank``).
 
     In coordinates ``C1`` is projected in the buffer of ``(C1 Q) Q^H``, and
     ``C2`` only in r-space: with ``W = V_r Sigma_r^-1`` from the one SVD of
@@ -313,17 +316,18 @@ def _projected_fit(data, lams, r: int | None, rel_tol: float, method: str | None
     accurate when the removed content dominates ``X2``. Raises InvalidInput
     when ``Atilde`` is not finite (badly scaled data).
 
-    Without a ``method`` returns ``eigvals(Atilde)``. With one the fit stays
-    in coordinates: the modes ``Z V / lambda``, canonicalized as one matrix,
-    are its only n-space lift, and the amplitudes are fitted on their
-    coordinates ``CW V / lambda`` against ``C1p[:, 0]``, so a tall pair's
-    least-squares fit has T + 1 or T + 2 rows, not n. Returns the model,
-    ``Z``, ``Atilde``, ``B = (X2 - Z U_r^H X1) Lt^+`` and ``U_r^H B`` (None
-    over the empty set), from ``X Lt^+ = (X Q) (Lt Q)^-1`` and
+    A pair's fit stays in coordinates: the modes ``Z V / lambda``,
+    canonicalized as one matrix, are its only n-space lift, and the
+    amplitudes are fitted on their coordinates ``CW V / lambda`` against
+    ``C1p[:, 0]``, so a tall pair's least-squares fit has T + 1 or T + 2
+    rows, not n. Returns the model, ``Z``, ``Atilde``,
+    ``B = (X2 - Z U_r^H X1) Lt^+`` and ``U_r^H B`` (None over the empty
+    set), from ``X Lt^+ = (X Q) (Lt Q)^-1`` and
     ``U_r^H X Q = u_r^H (C Q + cs 1^T Q)``. The rank-``r`` operator
     ``Z U_r^H`` stays factored, never n x n.
     """
-    X1, X2 = (data.X1, data.X2) if isinstance(data, SnapshotPair) else (data[..., :-1], data[..., 1:])
+    pair = isinstance(data, SnapshotPair)
+    X1, X2 = (data.X1, data.X2) if pair else (data[..., :-1], data[..., 1:])
     with np.errstate(over="ignore", invalid="ignore"):
         C1, C2, cs, Y2, mu1 = _coordinates(data, bool(np.any(lams == 1.0)))
         scale = 0.0 if mu1 is None else np.linalg.norm(mu1, axis=-1)[..., None] * np.sqrt(X1.shape[-1])
@@ -334,11 +338,12 @@ def _projected_fit(data, lams, r: int | None, rel_tol: float, method: str | None
         with np.errstate(over="ignore", invalid="ignore"):
             # Q Q^H 1 = 1 when shifted: no row of Q is zero, so a non-finite shifted C shows in C Q.
             C1Q, C2Q = C1 @ Q, C2 @ Q
+            scale = np.maximum(scale, np.linalg.norm(C1Q, axis=(-2, -1))[..., None])
         if not (np.all(np.isfinite(C1Q)) and np.all(np.isfinite(C2Q))):
             raise InvalidInput("the shifted snapshot matrices or their fixed-frequency content are non-finite")
         C1p = C1Q @ Qh
         np.subtract(C1, C1p, out=C1p)  # C1 - (C1 Q) Q^H, in the buffer of (C1 Q) Q^H
-    if r is None and C1p.ndim > 2:
+    if r is None and not pair:
         raise InvalidInput("a stack of snapshot pairs needs an explicit rank")
     u, s, Vt = _truncated_svd(C1p, rel_tol, r, scale)
     if s.shape[-1] == 0:
@@ -354,7 +359,7 @@ def _projected_fit(data, lams, r: int | None, rel_tol: float, method: str | None
         Atilde = u.conj().swapaxes(-1, -2) @ CW
     if not np.all(np.isfinite(Atilde)):
         raise InvalidInput(_OVERFLOW)
-    if method is None:
+    if not pair:
         return np.linalg.eigvals(Atilde)
     with np.errstate(over="ignore", invalid="ignore"):
         Z = Y2 @ (W - Q @ QhW if lams.size else W)
@@ -369,7 +374,7 @@ def _projected_fit(data, lams, r: int | None, rel_tol: float, method: str | None
     keep = (mod > 0.0) & (mod >= ZERO_TOL_FACTOR * mod.max())
     V = np.where(keep, V, 0.0) / np.where(keep, eigs, 1.0)
     modes, factors = canonicalize_mode((V.T @ Z.T).T)  # column-major: each column is divided along contiguous memory
-    base = DmdModel(eigs, modes, _fit_amplitudes(CW @ V / factors, C1p[:, 0]), method, Atilde.shape[0])
+    base = DmdModel(eigs, modes, _fit_amplitudes(CW @ V / factors, C1p[:, 0]), Atilde.shape[0])
     if not lams.size:
         return base, Z, Atilde, None, None
 
@@ -403,7 +408,7 @@ def exact_dmd(pair: SnapshotPair, r: int | None = None, rel_tol: float = EXACT_T
     fit over an empty set of fixed frequencies (see ``_projected_fit``).
     """
     with _one_blas_thread():
-        return _projected_fit(pair, np.empty(0), r, rel_tol, "exact")[0]
+        return _projected_fit(pair, np.empty(0), r, rel_tol)[0]
 
 
 def centered_dmd(
@@ -421,35 +426,11 @@ def centered_dmd(
     if pair.T < 2:
         raise InvalidInput("centered DMD needs at least 2 snapshot columns")
     with _one_blas_thread():
-        base, Z, Atilde, B, UB = _projected_fit(pair, np.ones(1), r, rel_tol, "centered")
+        base, Z, Atilde, B, UB = _projected_fit(pair, np.ones(1), r, rel_tol)
         fixed_point = None
         if np.min(np.abs(base.eigenvalues - 1.0)) > UNIT_TOL:
             fixed_point = B[:, 0] + Z @ np.linalg.solve(np.eye(base.rank_used) - Atilde, UB[:, 0])
     return CenteredDmdModel(base, B[:, 0], fixed_point)
-
-
-def affine_dmd_direct(pair: SnapshotPair):
-    """Direct least-squares fit of the affine model ``X2 = A X1 + b 1^T``.
-
-    Minimizing over ``b`` for fixed ``A`` gives ``b = mu2 - A mu1``
-    analytically; substituting leaves a plain regression for ``A`` (with the
-    minimum-``||A||_F`` tie-break), solved here through LAPACK least squares
-    rather than an explicit pseudoinverse. Exists to cross-validate the
-    centering equivalence through an independent numerical path.
-    """
-    if pair.T < 2:
-        raise InvalidInput("affine fit needs at least 2 snapshot columns")
-    mu1 = pair.X1.mean(axis=1)
-    mu2 = pair.X2.mean(axis=1)
-    Xb1 = pair.X1 - mu1[:, None]
-    Xb2 = pair.X2 - mu2[:, None]
-    # A second pass removes the rounding error of the means, a rank-one term
-    # that the rank cut would otherwise keep when offsets dwarf the data.
-    d1, d2 = Xb1.mean(axis=1), Xb2.mean(axis=1)
-    Xb1, Xb2, mu1, mu2 = Xb1 - d1[:, None], Xb2 - d2[:, None], mu1 + d1, mu2 + d2
-    At, *_ = np.linalg.lstsq(Xb1.T, Xb2.T, rcond=EXACT_TOL)
-    A = At.T
-    return A, mu2 - A @ mu1
 
 
 def companion_dmd(X) -> CompanionModel:
@@ -491,7 +472,12 @@ def frequency_subtracted_dmd(
     accuracy as it does for ``exact_dmd``: the data keep the offset's
     rounding, and on 64 x 1999 forced data the eigenvalues moved by 1.7e-7 at
     an offset 1e6 times the fluctuations. Adding 1 to the set centers the
-    data, and the same fit moved them by 8.6e-11.
+    data, and the same fit moved them by 8.6e-11. Removed content more than
+    about ``1 / rel_tol`` times the rest of the data, such as a growing fixed
+    frequency over a long record, is an error: the data then carry the rest
+    only to the rounding of that content, which the rank rule does not count,
+    so the fit raises RankTooHigh at a given ``r`` and InvalidInput at the
+    default rank.
     """
     lams = np.atleast_1d(np.asarray(fixed_lambdas, dtype=complex))
     if lams.size == 0:
@@ -500,7 +486,7 @@ def frequency_subtracted_dmd(
         raise InvalidInput(f"need fewer fixed frequencies ({lams.size}) than snapshots ({pair.T})")
 
     with _one_blas_thread():
-        base, _, _, B, _ = _projected_fit(pair, lams, r, rel_tol, "freq_subtracted")
+        base, _, _, B, _ = _projected_fit(pair, lams, r, rel_tol)
     return FrequencyModel(base, lams, B)
 
 

@@ -70,18 +70,25 @@ class _Recorder:
         self.metrics = {}
         self.assertions = []
 
-    def add_spectrum(self, method, eigenvalues):
-        for lam in np.atleast_1d(eigenvalues):
-            self.eigenvalues.append({"re": float(np.real(lam)), "im": float(np.imag(lam)), "method": method})
+    def spectra(self, path, spectra, prefix=""):
+        """Record ``(method, eigenvalues)`` pairs, one summary entry per eigenvalue, under ``prefix + method``.
+
+        Unless ``path`` is None, the same rows go to a ``method,re,im`` CSV
+        there, under ``method``.
+        """
+        rows = []
+        for method, lams in spectra:
+            for lam in np.atleast_1d(lams):
+                re, im = float(np.real(lam)), float(np.imag(lam))
+                self.eigenvalues.append({"re": re, "im": im, "method": prefix + method})
+                rows.append((method, re, im))
+        if path is not None:
+            _write_csv(path, ["method", "re", "im"], rows)
 
     def check(self, name, value, threshold, mode="lt"):
         value = float(value)
         passed = value < threshold if mode == "lt" else value > threshold
         self.assertions.append({"name": name, "passed": bool(passed), "value": value, "threshold": threshold})
-
-    @property
-    def all_passed(self):
-        return all(a["passed"] for a in self.assertions)
 
 
 def _write_csv(path, header, rows):
@@ -94,14 +101,6 @@ def _write_csv(path, header, rows):
     row_format = ",".join(["%s"] * len(header)) + "\r\n"
     with open(path, "w", newline="") as f:
         f.writelines(row_format % tuple(row) for row in [header, *rows])
-
-
-def _write_spectra(path, spectra):
-    """Write ``(method, eigenvalues)`` pairs as a ``method,re,im`` CSV, one row per eigenvalue."""
-    rows = []
-    for method, lams in spectra:
-        rows.extend((method, float(np.real(l)), float(np.imag(l))) for l in np.atleast_1d(lams))
-    _write_csv(path, ["method", "re", "im"], rows)
 
 
 def _affine_system(n, T, r, seed, placement="unit_annulus"):
@@ -144,12 +143,10 @@ def _run_fig2(seed, params, out_dir, rec):
                 rel = consistency_residual(pair) / np.linalg.norm(pair.X2)
                 rec.check(f"fig2{panel}_inconsistency", rel, 1e-8, mode="gt")
 
-        rec.add_spectrum(f"{panel}_centered", cen.base.eigenvalues)
-        rec.add_spectrum(f"{panel}_uncentered", unc.eigenvalues)
-        rec.add_spectrum(f"{panel}_true", spec.eigenvalues)
-        _write_spectra(
+        rec.spectra(
             out_dir / f"fig2_{panel}.csv",
             [("true", spec.eigenvalues), ("centered", cen.base.eigenvalues), ("uncentered", unc.eigenvalues)],
+            prefix=f"{panel}_",
         )
     return {"panels": {k: v for k, v in panels.items()}}
 
@@ -213,11 +210,7 @@ def _run_fig4(seed, params, out_dir, rec):
     d_cen = spectral_distance(cen.base.eigenvalues, spec.eigenvalues).matched_distance
     rec.check("fig4_centered_tracks_truth", d_cen, 10 * eta)
 
-    rec.add_spectrum("companion_noiseless", comp.companion_eigenvalues)
-    rec.add_spectrum("companion_noisy", comp_noisy.companion_eigenvalues)
-    rec.add_spectrum("centered_noisy", cen.base.eigenvalues)
-    rec.add_spectrum("true", spec.eigenvalues)
-    _write_spectra(
+    rec.spectra(
         out_dir / "fig4_dft.csv",
         [
             ("true", spec.eigenvalues),
@@ -245,10 +238,7 @@ def _run_fig5(seed, params, out_dir, rec):
     truth_plus = np.append(spec.eigenvalues, lam)
     rec.check("fig5_plain_truth_plus_forcing", match_spectra(plain.eigenvalues, truth_plus), 1e-8)
 
-    rec.add_spectrum("subtracted", sub.base.eigenvalues)
-    rec.add_spectrum("plain", plain.eigenvalues)
-    rec.add_spectrum("true", spec.eigenvalues)
-    _write_spectra(
+    rec.spectra(
         out_dir / "fig5_fixed_freq.csv",
         [("true", spec.eigenvalues), ("subtracted", sub.base.eigenvalues), ("plain", plain.eigenvalues)],
     )
@@ -261,10 +251,9 @@ def _run_fig6(seed, params, out_dir, rec):
     pair = split_snapshots(X)
 
     clean = exact_dmd(pair, r=3)
-    rec.add_spectrum("uncentered_noiseless", clean.eigenvalues)
     rec.check("fig6_eigenvalue_near_one", np.min(np.abs(clean.eigenvalues - 1.0)), 0.01)
     cen_clean = centered_dmd(pair, r=3)
-    rec.add_spectrum("centered_noiseless", cen_clean.base.eigenvalues)
+    rec.spectra(None, [("uncentered_noiseless", clean.eigenvalues), ("centered_noiseless", cen_clean.base.eigenvalues)])
 
     recon_u = reconstruct(clean, X[:, 0], X.shape[1])
     recon_c = reconstruct(cen_clean, X[:, 0], X.shape[1])
@@ -305,9 +294,7 @@ def _run_fig7(seed, params, out_dir, rec):
     others = np.delete(unc.eigenvalues, i_bg)
     rec.check("fig7_nonbackground_spectra_match", match_spectra(others, cen.base.eigenvalues), 1e-8)
 
-    rec.add_spectrum("uncentered", unc.eigenvalues)
-    rec.add_spectrum("centered", cen.base.eigenvalues)
-    _write_spectra(out_dir / "fig7_video.csv", [("uncentered", unc.eigenvalues), ("centered", cen.base.eigenvalues)])
+    rec.spectra(out_dir / "fig7_video.csv", [("uncentered", unc.eigenvalues), ("centered", cen.base.eigenvalues)])
     return params
 
 
@@ -334,14 +321,12 @@ def _run_fig8(seed, params, out_dir, rec):
     dmd_before = dmd_power_spectrum(before, dt)
     rec.metrics["dmd_peak_before_hz"] = float(dmd_before.frequencies[np.argmax(dmd_before.power)])
 
-    rec.add_spectrum("before", before.eigenvalues)
-    rec.add_spectrum("after", sub.base.eigenvalues)
     _write_csv(
         out_dir / "fig8_dft_power.csv",
         ["frequency_hz", "power_before", "power_after"],
         np.column_stack([spec_before.frequencies, spec_before.power, spec_after.power]).tolist(),
     )
-    _write_spectra(out_dir / "fig8_spectra.csv", [("before", before.eigenvalues), ("after", sub.base.eigenvalues)])
+    rec.spectra(out_dir / "fig8_spectra.csv", [("before", before.eigenvalues), ("after", sub.base.eigenvalues)])
     return {"channels": channels, "fs": fs, "duration": duration, "f0": f0}
 
 
@@ -354,10 +339,8 @@ def _run_custom(seed, params, out_dir, rec):
     pair = split_snapshots(load_matrix(path))
     unc = exact_dmd(pair, r=rank)
     cen = centered_dmd(pair, r=rank)
-    rec.add_spectrum("uncentered", unc.eigenvalues)
-    rec.add_spectrum("centered", cen.base.eigenvalues)
+    rec.spectra(out_dir / "custom_spectra.csv", [("uncentered", unc.eigenvalues), ("centered", cen.base.eigenvalues)])
     rec.metrics["consistency_residual"] = consistency_residual(pair)
-    _write_spectra(out_dir / "custom_spectra.csv", [("uncentered", unc.eigenvalues), ("centered", cen.base.eigenvalues)])
     return params
 
 

@@ -2,9 +2,8 @@
 
 The rank rule that every truncation shares, SVD-backed pseudoinverse,
 effective-rank estimation, rectangular Vandermonde construction, the
-closed-form pseudoinverse of column-centered data, the certificate for a
-unit eigenvalue in the fitted propagator, and the gate that runs fits on one
-BLAS thread.
+closed-form pseudoinverse of column-centered data, and the gate that runs
+fits on one BLAS thread.
 """
 
 from __future__ import annotations
@@ -125,9 +124,9 @@ def _rank(s, rel_tol: float, scale=0.0) -> int:
     ``s`` holds the descending singular values of one matrix or of a stack of
     them (last axis); a stack gets the fewest over its slices. ``scale``, one
     per slice of a stack, is the size of the data before a fit removed part
-    of it, such as the column offset that centering takes out: the rounding
-    the data carry is relative to that, not to ``sigma_max``. Raises
-    InvalidInput unless ``0 < rel_tol < 1``.
+    of it, such as the column offset that centering takes out or the content
+    of a fixed frequency: the rounding the data carry is relative to that,
+    not to ``sigma_max``. Raises InvalidInput unless ``0 < rel_tol < 1``.
     """
     if not 0.0 < rel_tol < 1.0:
         raise InvalidInput(f"rel_tol must lie in (0, 1), got {rel_tol}")
@@ -294,20 +293,3 @@ def centered_pinv_update(X1, rel_tol: float = EXACT_TOL) -> np.ndarray:
         )
     return P - np.outer(m, ones_P) / np.vdot(m, m)  # 1^T m = m^H m
 
-
-def unit_eigenvalue_certificate(X1, X, tol: float) -> bool:
-    """True iff the ones row is (within ``tol``) fixed by ``X1^+ X``.
-
-    For well-posed linear data this is equivalent to the fitted propagator
-    having an eigenvalue equal to 1.
-    """
-    X1 = _as_matrix(X1, "X1")
-    X = _as_matrix(X, "X")
-    T = X1.shape[1]
-    if X.shape[1] != T + 1 or X.shape[0] != X1.shape[0]:
-        raise InvalidInput(f"X must have one more column than X1, got {X.shape} vs {X1.shape}")
-    if not np.allclose(X[:, :T], X1):
-        raise InvalidInput("leading columns of X must equal X1")
-    ones = np.ones(T)
-    row = ones @ pinv(X1) @ X
-    return bool(np.linalg.norm(row - np.ones(T + 1), np.inf) < tol)

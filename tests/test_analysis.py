@@ -38,7 +38,6 @@ class TestSpectralDistance:
     def test_exclude_near_unity(self):
         rep = spectral_distance([1.0, 0.9], [0.9], exclude_near_unity=True)
         assert rep.matched_distance == 0.0
-        assert rep.excluded_near_unity
 
     def test_hand_enumerable(self):
         rep = spectral_distance([0.91, 0.49], [0.9, 0.5])
@@ -204,7 +203,7 @@ class TestDmdPowerSpectrum:
         for i in range(r):
             modes[i % n, i] = 1.0
         amps = np.ones(r, dtype=complex) if amps is None else np.asarray(amps, dtype=complex)
-        return DmdModel(lams, modes, amps, "exact", r)
+        return DmdModel(lams, modes, amps, r)
 
     def test_single_line_at_60hz(self):
         dt = 1e-3

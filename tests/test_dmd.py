@@ -16,7 +16,6 @@ from cdmd import (
     NoiseSweepResult,
     RankTooHigh,
     add_noise,
-    affine_dmd_direct,
     centered_dmd,
     companion_dmd,
     consistency_residual,
@@ -48,6 +47,7 @@ from cdmd.dmd import (
 )
 from cdmd.linalg import pinv, vandermonde
 from cdmd.synth import LinearSystemSpec
+from oracles import affine_dmd_direct
 
 
 def golden_affine_trajectory():
@@ -136,7 +136,7 @@ ARRAY_DATACLASSES = {
     "LinearSystemSpec": lambda: golden_affine_trajectory()[0],
     "LorenzParams": LorenzParams,
     "SpectrumReport": lambda: spectral_distance([0.5, 0.9], [0.5, 0.9]),
-    "NoiseSweepResult": lambda: NoiseSweepResult(np.ones(2), np.ones(2), np.ones(2), 3),
+    "NoiseSweepResult": lambda: NoiseSweepResult(np.ones(2), np.ones(2), np.ones(2)),
     "PowerSpectrum": lambda: dft_power_spectrum(np.ones((2, 4)), 1.0),
 }
 
@@ -759,6 +759,29 @@ class TestFrequencySubtractedDmd:
             sub = frequency_subtracted_dmd(split_snapshots(X), [lam], r=4)
             assert np.linalg.norm(sub.B[:, 0] - spec.bias) <= 1e-7 * np.linalg.norm(spec.bias)
 
+    @pytest.mark.parametrize("T", [500, 2000])
+    @pytest.mark.parametrize("lam", [0.98, 1.0, 1.01, 1.02, 1.03])
+    def test_growing_forcing_fits_or_raises(self, lam, T):
+        # The late columns carry the forcing at |lam|^T times the dynamics, and
+        # the dynamics only to that forcing's rounding. At T = 2000 and lam =
+        # 1.02 or 1.03 (|lam|^T = 1.6e17 and 4.1e25) the projection leaves
+        # only that rounding: the rank rule, at the scale of the removed
+        # content, keeps none of it, where at the scale of the projected data
+        # alone the fit returned B off by 0.9 relative and eigenvalues off by
+        # 2 or more, in silence. The other cases, at |lam|^T up to 4.4e8, fit.
+        spec = random_linear_system(30, 4, seed=3, bias="random")
+        X = simulate(spec, well_posed_initial_state(spec, 5, forcing_lambda=lam), T, forcing_lambda=lam)
+        pair = split_snapshots(X)
+        if T == 2000 and lam > 1.01:
+            with pytest.raises(RankTooHigh, match="requested rank 4 but only 0 singular values"):
+                frequency_subtracted_dmd(pair, [lam], r=4)
+            with pytest.raises(InvalidInput, match="no singular value"):
+                frequency_subtracted_dmd(pair, [lam])
+            return
+        sub = frequency_subtracted_dmd(pair, [lam], r=4)
+        assert np.linalg.norm(sub.B[:, 0] - spec.bias) <= 1e-7 * np.linalg.norm(spec.bias)
+        assert match_spectra(sub.base.eigenvalues, spec.eigenvalues) < 1e-8
+
     def test_overflowing_forcing_named(self):
         pair = split_snapshots(np.random.default_rng(0).standard_normal((4, 5000)))
         with warnings.catch_warnings():
@@ -828,6 +851,16 @@ class TestReconstruct:
         X = simulate(spec, well_posed_initial_state(spec, seed=52), 12)
         model = exact_dmd(split_snapshots(X))
         out = reconstruct(model, X[:, 0], X.shape[1])
+        assert np.linalg.norm(out - X) < 1e-8 * np.linalg.norm(X)
+
+    def test_complex_data_roundtrip(self):
+        # A complex trajectory of a real system: the forecast keeps its
+        # imaginary part and matches the data.
+        spec = random_linear_system(6, 4, seed=51)
+        x1 = well_posed_initial_state(spec, seed=52) + 1j * well_posed_initial_state(spec, seed=55)
+        X = simulate(spec, x1, 12)
+        out = reconstruct(exact_dmd(split_snapshots(X)), X[:, 0], X.shape[1])
+        assert np.iscomplexobj(out) and np.linalg.norm(out.imag) > 0.1 * np.linalg.norm(out)
         assert np.linalg.norm(out - X) < 1e-8 * np.linalg.norm(X)
 
     def test_affine_data_roundtrip_via_fixed_point(self):

@@ -32,10 +32,10 @@ from cdmd.linalg import (
     centered_pinv_update,
     effective_rank,
     pinv,
-    unit_eigenvalue_certificate,
     vandermonde,
 )
 from cdmd.synth import LinearSystemSpec, simulate
+from oracles import unit_eigenvalue_certificate
 
 
 def _diag_system(diag, bias=None):

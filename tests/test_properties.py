@@ -14,7 +14,6 @@ from hypothesis.extra.numpy import arrays
 
 from cdmd import (
     InvalidInput,
-    affine_dmd_direct,
     centered_dmd,
     exact_dmd,
     frequency_subtracted_dmd,
@@ -31,9 +30,9 @@ from cdmd.linalg import (
     centered_pinv_update,
     effective_rank,
     pinv,
-    unit_eigenvalue_certificate,
     vandermonde,
 )
+from oracles import affine_dmd_direct, unit_eigenvalue_certificate
 
 finite_floats = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False)
 finite_complex = st.complex_numbers(max_magnitude=100.0, allow_nan=False, allow_infinity=False)

@@ -17,8 +17,9 @@ from cdmd import (
     synth_video,
     well_posed_initial_state,
 )
-from cdmd.linalg import effective_rank, unit_eigenvalue_certificate
+from cdmd.linalg import effective_rank
 from cdmd.synth import LinearSystemSpec
+from oracles import unit_eigenvalue_certificate
 
 
 class TestRandomLinearSystem:
