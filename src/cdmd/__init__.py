@@ -30,7 +30,6 @@ from .dmd import (
 from .exceptions import IntegrationOverflow, InvalidInput, ParseError, RankTooHigh
 from .experiments import EXPERIMENTS, ExperimentConfig, run_experiment
 from .linalg import (
-    RankEstimate,
     centered_pinv_update,
     effective_rank,
     pinv,
@@ -39,7 +38,6 @@ from .linalg import (
 from .synth import (
     LinearSystemSpec,
     LorenzParams,
-    NoiseSpec,
     add_noise,
     lorenz_rk4,
     random_linear_system,

@@ -14,7 +14,7 @@ import numpy as np
 from .dmd import DmdModel, _eigenvalues, split_snapshots
 from .exceptions import InvalidInput
 from .linalg import effective_rank
-from .synth import LinearSystemSpec, NoiseSpec, add_noise, simulate, well_posed_initial_state
+from .synth import LinearSystemSpec, add_noise, simulate, well_posed_initial_state
 
 
 @dataclass(frozen=True, eq=False)
@@ -27,7 +27,8 @@ class SpectrumReport:
 
 @dataclass(frozen=True, eq=False)
 class NoiseSweepResult:
-    etas: np.ndarray
+    """Median eigenvalue errors of the centered and uncentered fits, one per noise level."""
+
     median_distance_centered: np.ndarray
     median_distance_uncentered: np.ndarray
 
@@ -158,28 +159,29 @@ def noise_sweep(
     X = simulate(spec, x1, T)
     truth = spec.eigenvalues
     clean = split_snapshots(X)
-    rank_unc = effective_rank(clean.X1).r
-    rank_cen = effective_rank(clean.X1 - clean.X1.mean(axis=1, keepdims=True)).r
+    rank_unc = effective_rank(clean.X1)
+    rank_cen = effective_rank(clean.X1 - clean.X1.mean(axis=1, keepdims=True))
 
     med_c = np.empty(etas.size)
     med_u = np.empty(etas.size)
     for i, eta in enumerate(etas):
-        Y = np.stack([
-            add_noise(X, NoiseSpec(eta=float(eta), seed=_cell_seed(base_seed, i, j))) for j in range(realizations)
-        ])
+        Y = np.stack([add_noise(X, eta, _cell_seed(base_seed, i, j)) for j in range(realizations)])
         lam_c = _eigenvalues(Y, rank_cen, centered=True)
         lam_u = _eigenvalues(Y, rank_unc)
         med_c[i] = np.median(_nearest_truth_distances(lam_c, truth).sum(axis=-1))
         med_u[i] = np.median(_nearest_truth_distances(lam_u, truth, exclude_near_unity=True).sum(axis=-1))
-    return NoiseSweepResult(etas, med_c, med_u)
+    return NoiseSweepResult(med_c, med_u)
 
 
 def dft_power_spectrum(X, fs: float) -> PowerSpectrum:
     """One-sided temporal DFT power, aggregated across channels.
 
     Uses the 1/N forward normalization; one-sided bins are weighted so the
-    total power equals the mean squared signal summed over channels.
+    total power equals the mean squared signal summed over channels. Raises
+    InvalidInput unless the sampling rate ``fs`` is positive and finite.
     """
+    if not 0.0 < fs < np.inf:
+        raise InvalidInput(f"fs must be positive and finite, got {fs}")
     X = np.asarray(X)
     if X.ndim != 2 or X.shape[1] < 2:
         raise InvalidInput("need a channels x samples matrix with >= 2 samples")
@@ -199,9 +201,10 @@ def dmd_power_spectrum(model: DmdModel, dt: float) -> PowerSpectrum:
 
     Each eigenvalue contributes |amplitude|^2 * ||mode||^2 at
     |arg(lambda)| / (2 pi dt) Hz; conjugate pairs merge into one line.
+    Raises InvalidInput unless the time step ``dt`` is positive and finite.
     """
-    if dt <= 0:
-        raise InvalidInput("dt must be positive")
+    if not 0.0 < dt < np.inf:
+        raise InvalidInput(f"dt must be positive and finite, got {dt}")
     freqs = np.abs(np.angle(model.eigenvalues)) / (2 * np.pi * dt)
     powers = np.abs(model.amplitudes) ** 2 * np.linalg.norm(model.modes, axis=0) ** 2
     merged: dict[float, float] = {}

@@ -183,8 +183,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="KEY=VALUE",
         help="override an experiment parameter; repeatable",
     )
-    p.add_argument("--input", default=None, help="matrix file for the 'custom' experiment")
-    p.add_argument("--rank", type=int, default=None, help="truncation rank for the 'custom' experiment")
     return parser
 
 
@@ -237,14 +235,8 @@ def main(argv=None) -> int:
         if args.command != "experiment":
             _emit(_run_decomposition(args), args.out)
         else:  # experiment
-            overrides = dict(args.overrides)
-            if args.input is not None:
-                overrides["input"] = args.input
-            if args.rank is not None:
-                overrides["rank"] = args.rank
-            summary = run_experiment(
-                ExperimentConfig(experiment=args.name, seed=args.seed, overrides=overrides, output_dir=args.out)
-            )
+            config = ExperimentConfig(args.name, seed=args.seed, overrides=dict(args.overrides), output_dir=args.out)
+            summary = run_experiment(config)
             failed = [a["name"] for a in summary["assertions"] if not a["passed"]]
             for a in summary["assertions"]:
                 status = "PASS" if a["passed"] else "FAIL"

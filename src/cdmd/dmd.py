@@ -305,7 +305,9 @@ def _projected_fit(data, lams, r: int | None, rel_tol: float):
     the rest by more than about ``1 / rel_tol`` therefore leaves too few
     singular values for the fit. ``r`` defaults to the rank rule of a single
     pair; a stack needs ``r`` and raises RankTooHigh if any slice has fewer
-    than ``r`` singular values above it (see ``linalg._rank``).
+    than ``r`` singular values above it (see ``linalg._rank``). Raises
+    InvalidInput, before any factorization, unless there are fewer ``lams``
+    than snapshot pairs.
 
     In coordinates ``C1`` is projected in the buffer of ``(C1 Q) Q^H``, and
     ``C2`` only in r-space: with ``W = V_r Sigma_r^-1`` from the one SVD of
@@ -328,6 +330,8 @@ def _projected_fit(data, lams, r: int | None, rel_tol: float):
     """
     pair = isinstance(data, SnapshotPair)
     X1, X2 = (data.X1, data.X2) if pair else (data[..., :-1], data[..., 1:])
+    if lams.size >= X1.shape[-1]:
+        raise InvalidInput(f"need fewer fixed frequencies ({lams.size}) than snapshots ({X1.shape[-1]})")
     with np.errstate(over="ignore", invalid="ignore"):
         C1, C2, cs, Y2, mu1 = _coordinates(data, bool(np.any(lams == 1.0)))
         scale = 0.0 if mu1 is None else np.linalg.norm(mu1, axis=-1)[..., None] * np.sqrt(X1.shape[-1])
@@ -346,7 +350,13 @@ def _projected_fit(data, lams, r: int | None, rel_tol: float):
     if r is None and not pair:
         raise InvalidInput("a stack of snapshot pairs needs an explicit rank")
     u, s, Vt = _truncated_svd(C1p, rel_tol, r, scale)
-    if s.shape[-1] == 0:
+    if s.shape[-1] == 0:  # only a pair at the default rank; at scale 0, only zero data
+        if np.any(scale):
+            raise InvalidInput(
+                f"no singular value lies above rel_tol * {float(np.max(scale)):.3g}, the size of the data before "
+                "their offset or fixed-frequency content was removed: that content exceeds the rest by more than "
+                "1 / rel_tol"
+            )
         raise InvalidInput("no singular value lies above rel_tol * sigma_max (is the data all zero?)")
 
     W = Vt.conj().swapaxes(-1, -2) * _inverse_singular_values(s)[..., None, :]  # V_r Sigma_r^-1, (R x) T x r
@@ -423,8 +433,6 @@ def centered_dmd(
     lies within ``UNIT_TOL`` of 1, the fixed point is solved for as well, by
     Woodbury as an r x r solve: ``bias + Z (I_r - Atilde)^-1 U_r^H bias``.
     """
-    if pair.T < 2:
-        raise InvalidInput("centered DMD needs at least 2 snapshot columns")
     with _one_blas_thread():
         base, Z, Atilde, B, UB = _projected_fit(pair, np.ones(1), r, rel_tol)
         fixed_point = None
@@ -438,17 +446,16 @@ def companion_dmd(X) -> CompanionModel:
 
     Regresses the final snapshot on the earlier ones; the companion
     eigenvalues come from the resulting T x T companion matrix, so the
-    trajectory may have at most ``COMPANION_MAX_T`` snapshot pairs.
+    trajectory may have at most ``COMPANION_MAX_T`` snapshot pairs. ``X`` is
+    checked as by ``split_snapshots``.
     """
     X = np.asarray(X)
-    if X.ndim != 2 or X.shape[1] < 2:
-        raise InvalidInput(f"need an n x (T+1) matrix, got shape {X.shape}")
-    if X.shape[1] - 1 > COMPANION_MAX_T:
+    if X.ndim == 2 and X.shape[1] - 1 > COMPANION_MAX_T:  # before split_snapshots copies it
         raise InvalidInput(
             f"companion DMD is O(T^3) and accepts at most {COMPANION_MAX_T} snapshot pairs, got {X.shape[1] - 1}"
         )
-    X1 = X[:, :-1]
-    x_last = X[:, -1]
+    pair = split_snapshots(X)
+    X1, x_last = pair.X1, pair.X2[:, -1]
     c = pinv(X1) @ x_last
     C = np.eye(c.shape[0], k=-1, dtype=c.dtype)  # ones below the diagonal, c in the last column
     C[:, -1] = c
@@ -480,11 +487,8 @@ def frequency_subtracted_dmd(
     default rank.
     """
     lams = np.atleast_1d(np.asarray(fixed_lambdas, dtype=complex))
-    if lams.size == 0:
-        raise InvalidInput("fixed_lambdas must be nonempty")
-    if lams.size >= pair.T:
-        raise InvalidInput(f"need fewer fixed frequencies ({lams.size}) than snapshots ({pair.T})")
-
+    if lams.ndim != 1 or lams.size == 0:
+        raise InvalidInput(f"fixed_lambdas must be nonempty and one-dimensional, got shape {lams.shape}")
     with _one_blas_thread():
         base, _, _, B, _ = _projected_fit(pair, lams, r, rel_tol)
     return FrequencyModel(base, lams, B)
@@ -506,7 +510,8 @@ def _realify(X, rel_tol: float = 1e-8):
 def reconstruct(model, x1, steps: int) -> np.ndarray:
     """Forecast ``steps`` snapshots from ``x1`` using the modal expansion.
 
-    Amplitudes are fit by least squares against the initial snapshot only.
+    ``x1`` must be a vector as long as the modes. Amplitudes are fit by
+    least squares against the initial snapshot only.
     Centered models forecast about the fixed point when it exists; otherwise
     the homogeneous modal part is combined with the bias accumulated through
     the modal propagator, ``s_k = b + Phi ((sum_{j=1}^{k-1} lambda^j) * Phi^+ b)``
@@ -514,27 +519,27 @@ def reconstruct(model, x1, steps: int) -> np.ndarray:
     """
     if steps < 1:
         raise InvalidInput("steps must be >= 1")
+    base = model.base if isinstance(model, CenteredDmdModel) else model
+    if not isinstance(base, DmdModel):
+        raise InvalidInput(f"unsupported model type {type(model).__name__}")
     x1 = np.asarray(x1)
+    if x1.shape != base.modes.shape[:1]:
+        raise InvalidInput(f"x1 must be a length-{base.modes.shape[0]} vector, got shape {x1.shape}")
 
-    if isinstance(model, DmdModel):
+    if base is model:
         return _realify(_modal_propagate(model, x1, steps))
-
-    if isinstance(model, CenteredDmdModel):
-        base = model.base
-        if model.fixed_point is not None:
-            c = model.fixed_point
-            out = _modal_propagate(base, x1 - c, steps) + np.asarray(c, dtype=complex)[:, None]
-            return _realify(out)
-        # Background eigenvalue present: propagate the homogeneous part
-        # modally and accumulate the bias through the modal propagator.
-        out = _modal_propagate(base, x1, steps)
-        powers = base.eigenvalues[None, :] ** np.arange(steps)[:, None]
-        powers[0] = 0.0
-        sums = np.cumsum(powers, axis=0)[:-1]  # row k - 1: sum_{j=1}^{k-1} lambda^j
-        out[:, 1:] += model.bias[:, None] + base.modes @ (sums * (pinv(base.modes) @ model.bias)).T
+    if model.fixed_point is not None:
+        c = model.fixed_point
+        out = _modal_propagate(base, x1 - c, steps) + np.asarray(c, dtype=complex)[:, None]
         return _realify(out)
-
-    raise InvalidInput(f"unsupported model type {type(model).__name__}")
+    # Background eigenvalue present: propagate the homogeneous part
+    # modally and accumulate the bias through the modal propagator.
+    out = _modal_propagate(base, x1, steps)
+    powers = base.eigenvalues[None, :] ** np.arange(steps)[:, None]
+    powers[0] = 0.0
+    sums = np.cumsum(powers, axis=0)[:-1]  # row k - 1: sum_{j=1}^{k-1} lambda^j
+    out[:, 1:] += model.bias[:, None] + base.modes @ (sums * (pinv(base.modes) @ model.bias)).T
+    return _realify(out)
 
 
 def consistency_residual(pair: SnapshotPair) -> float:

@@ -39,7 +39,6 @@ from .exceptions import InvalidInput
 from .linalg import _one_blas_thread, effective_rank
 from .synth import (
     LorenzParams,
-    NoiseSpec,
     add_noise,
     lorenz_rk4,
     random_linear_system,
@@ -158,17 +157,17 @@ def _run_fig3(seed, params, out_dir, rec):
     # Linear system whose spectrum includes the unit eigenvalue, so the
     # uncentered fit carries the constant mode that the exclusion removes.
     lams = np.append(random_linear_system(n, r - 1, seed=seed).eigenvalues, 1.0)
-    spec = random_linear_system(n, r, placement="prescribed", prescribed=lams, seed=seed + 1)
+    spec = random_linear_system(n, r, prescribed=lams, seed=seed + 1)
     result = noise_sweep(spec, etas, realizations, T, base_seed=seed)
 
-    logs = np.log10(result.etas)
+    logs = np.log10(etas)
     slope_c = np.polyfit(logs, np.log10(result.median_distance_centered), 1)[0]
     slope_u = np.polyfit(logs, np.log10(result.median_distance_uncentered), 1)[0]
     rec.metrics.update(slope_centered=float(slope_c), slope_uncentered=float(slope_u))
     rec.check("fig3_slope_centered", abs(slope_c - 1.0), 0.15)
     rec.check("fig3_slope_uncentered", abs(slope_u - 1.0), 0.15)
 
-    i = int(np.argmin(np.abs(result.etas - 0.005)))
+    i = int(np.argmin(np.abs(etas - 0.005)))
     ratio = result.median_distance_centered[i] / result.median_distance_uncentered[i]
     ratio = max(ratio, 1.0 / ratio)
     rec.metrics["ratio_at_eta_0.005"] = float(ratio)
@@ -177,7 +176,7 @@ def _run_fig3(seed, params, out_dir, rec):
     _write_csv(
         out_dir / "fig3_noise.csv",
         ["eta", "median_centered", "median_uncentered"],
-        np.column_stack([result.etas, result.median_distance_centered, result.median_distance_uncentered]).tolist(),
+        np.column_stack([etas, result.median_distance_centered, result.median_distance_uncentered]).tolist(),
     )
     return {"n": n, "T": T, "r": r, "realizations": realizations}
 
@@ -189,8 +188,8 @@ def _run_fig4(seed, params, out_dir, rec):
 
     mu = X.mean(axis=1, keepdims=True)
     Xc = X - mu
-    rank_raw = effective_rank(X[:, :-1]).r
-    rank_cen = effective_rank(Xc[:, :-1]).r
+    rank_raw = effective_rank(X[:, :-1])
+    rank_cen = effective_rank(Xc[:, :-1])
     rec.metrics.update(rank_raw=rank_raw, rank_centered=rank_cen)
     rec.check("fig4_rank_drop_by_one", abs((rank_raw - rank_cen) - 1), 0.5)
 
@@ -198,7 +197,7 @@ def _run_fig4(seed, params, out_dir, rec):
     d_clean = roots_of_unity_distance(comp.companion_eigenvalues, T + 1)
     rec.check("fig4_noiseless_not_roots_of_unity", d_clean, 1e-3, mode="gt")
 
-    Y = add_noise(X, NoiseSpec(eta=eta, seed=seed + 17))
+    Y = add_noise(X, eta, seed + 17)
     Yc = Y - Y.mean(axis=1, keepdims=True)
     comp_noisy = companion_dmd(Yc)
     d_noisy = roots_of_unity_distance(comp_noisy.companion_eigenvalues, T + 1)
@@ -270,7 +269,7 @@ def _run_fig6(seed, params, out_dir, rec):
     grow_centered = 0
     decay_uncentered = 0
     for start in range(0, n_seeds, 10):
-        Y = np.stack([add_noise(X, NoiseSpec(eta=eta, seed=seed + k)) for k in range(start, min(start + 10, n_seeds))])
+        Y = np.stack([add_noise(X, eta, seed + k) for k in range(start, min(start + 10, n_seeds))])
         grow_centered += int(np.sum(np.max(np.abs(_eigenvalues(Y, 3, centered=True)), axis=-1) > 1.0))
         decay_uncentered += int(np.sum(np.max(np.abs(_eigenvalues(Y, 3)), axis=-1) < 1.0))
     rec.metrics.update(grow_centered=grow_centered, decay_uncentered=decay_uncentered, noise_seeds=n_seeds)

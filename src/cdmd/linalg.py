@@ -12,7 +12,6 @@ import contextlib
 import ctypes
 import functools
 import threading
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -89,15 +88,6 @@ def _one_blas_thread():
             _threads_depth -= 1
             if _threads_depth == 0 and _threads_saved > 1:
                 set_(_threads_saved)
-
-
-@dataclass(frozen=True)
-class RankEstimate:
-    """Effective-rank estimate with the method and threshold that produced it."""
-
-    r: int
-    method: str
-    threshold_used: float
 
 
 def _as_matrix(M, name="M"):
@@ -196,8 +186,8 @@ def effective_rank(
     method: str = "exact_tol",
     noise_hint: float | None = None,
     rel_tol: float = EXACT_TOL,
-) -> RankEstimate:
-    """Estimate the rank of the noiseless signal underlying ``M``.
+) -> int:
+    """The estimated rank of the noiseless signal underlying ``M``.
 
     ``exact_tol`` is the rank rule of the fits and of ``pinv`` (``_rank``):
     it counts singular values above ``rel_tol * sigma_max``.
@@ -211,10 +201,8 @@ def effective_rank(
         raise InvalidInput(f"unknown rank method {method!r}")
     s = _svd(M, compute_uv=False)
     exact = _rank(s, rel_tol)  # rejects a rel_tol outside (0, 1) for either method
-    if method == "exact_tol":
-        return RankEstimate(exact, method, float(rel_tol * s[0]))
-    if s[0] == 0.0:
-        return RankEstimate(0, method, 0.0)
+    if method == "exact_tol" or s[0] == 0.0:
+        return exact
 
     m, n = M.shape
     beta = min(m, n) / max(m, n)
@@ -222,7 +210,7 @@ def effective_rank(
         thresh = _oht_lambda(beta) * np.sqrt(max(m, n)) * noise_hint
     else:
         thresh = _oht_coefficient(beta) * float(np.median(s))
-    return RankEstimate(int(np.sum(s > thresh)), method, float(thresh))
+    return int(np.sum(s > thresh))
 
 
 def vandermonde(lambdas, length: int) -> np.ndarray:

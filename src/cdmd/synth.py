@@ -16,7 +16,7 @@ import numpy as np
 from .exceptions import IntegrationOverflow, InvalidInput
 from .linalg import _svd, pinv
 
-PLACEMENTS = ("unit_annulus", "mixed_stable_unstable", "prescribed")
+PLACEMENTS = ("unit_annulus", "mixed_stable_unstable")
 
 #: Minimum pairwise separation for randomly drawn eigenvalue sets.
 MIN_EIG_SEPARATION = 1e-3
@@ -91,16 +91,6 @@ class LorenzParams:
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    eta: float
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.eta < 0:
-            raise InvalidInput("noise level must be nonnegative")
-
-
 def _draw_eigenvalues(rng, r, placement):
     n_pairs, n_real = r // 2, r % 2
     while True:
@@ -142,7 +132,7 @@ def _draw_eigenvectors(rng, n, lams):
                 V[:, i], V[:, j] = col, np.conj(col)
                 done[i] = done[j] = True
         s = _svd(V, compute_uv=False)
-        if s[0] <= MAX_EIGVEC_COND * s[-1]:
+        if r == 0 or s[0] <= MAX_EIGVEC_COND * s[-1]:
             return V
 
 
@@ -156,27 +146,23 @@ def random_linear_system(
 ) -> LinearSystemSpec:
     """Draw a real rank-``r`` system with a controlled eigenvalue set.
 
-    ``prescribed``, when given, lists the ``r`` eigenvalues. ``bias`` may be
-    None, an explicit vector, or ``"random"`` for a random standard-normal
-    affine term. Deterministic per seed.
+    ``prescribed``, when given, lists the ``r`` eigenvalues, which
+    ``LinearSystemSpec`` checks; otherwise they are drawn by ``placement``.
+    ``r = 0`` gives the zero matrix. ``bias`` may be None, an explicit
+    vector, or ``"random"`` for a random standard-normal affine term.
+    Deterministic per seed.
     """
+    if r < 0:
+        raise InvalidInput(f"rank {r} must be >= 0")
     if r > n:
         raise InvalidInput(f"rank {r} exceeds dimension {n}")
     if placement not in PLACEMENTS:
         raise InvalidInput(f"unknown placement {placement!r}")
     rng = np.random.default_rng(seed)
-    if placement == "prescribed" or prescribed is not None:
-        if prescribed is None:
-            raise InvalidInput("prescribed placement requires an eigenvalue list")
+    if prescribed is not None:
         lams = np.atleast_1d(np.asarray(prescribed, dtype=complex))
         if lams.size != r:
             raise InvalidInput(f"rank {r} does not match the {lams.size} prescribed eigenvalues")
-        sep = np.abs(lams[:, None] - lams[None, :])
-        np.fill_diagonal(sep, np.inf)
-        if lams.size > 1 and np.min(sep) <= 1e-6:
-            raise InvalidInput("prescribed eigenvalues must be distinct")
-        if not _conjugate_closed(lams):
-            raise InvalidInput("prescribed eigenvalues must be conjugate-closed")
     else:
         lams = _draw_eigenvalues(rng, r, placement)
     V = _draw_eigenvectors(rng, n, lams)
@@ -265,13 +251,18 @@ def simulate(spec: LinearSystemSpec, x1, T: int, forcing_lambda=None) -> np.ndar
     return X
 
 
-def add_noise(X, noise: NoiseSpec) -> np.ndarray:
-    """Add i.i.d. Gaussian measurement noise; deterministic per seed."""
+def add_noise(X, eta: float, seed: int = 0) -> np.ndarray:
+    """``X`` plus i.i.d. Gaussian measurement noise of standard deviation ``eta``, as a new array.
+
+    Deterministic per ``seed``; ``eta = 0`` returns a copy of ``X``. Raises
+    InvalidInput unless ``eta >= 0`` (a NaN ``eta`` included).
+    """
+    if not eta >= 0:
+        raise InvalidInput(f"noise level must be nonnegative, got {eta}")
     X = np.asarray(X)
-    if noise.eta == 0.0:
+    if eta == 0.0:
         return X.copy()
-    rng = np.random.default_rng(noise.seed)
-    return X + noise.eta * rng.standard_normal(X.shape)
+    return X + eta * np.random.default_rng(seed).standard_normal(X.shape)
 
 
 def lorenz_rk4(params: LorenzParams) -> np.ndarray:

@@ -7,7 +7,6 @@ import numpy as np
 
 from cdmd import (
     LorenzParams,
-    NoiseSpec,
     add_noise,
     centered_dmd,
     companion_dmd,
@@ -40,7 +39,7 @@ def _report(num: int, name: str, ok: bool, detail: str = ""):
 
 def _unit_eig_spec(n, r, seed):
     lams = np.append(random_linear_system(n, r - 1, seed=seed).eigenvalues, 1.0)
-    return random_linear_system(n, r, placement="prescribed", prescribed=lams, seed=seed + 1)
+    return random_linear_system(n, r, prescribed=lams, seed=seed + 1)
 
 
 def test_criterion_01_golden_affine_example(capsys):
@@ -124,10 +123,10 @@ def test_criterion_05_noise_scaling(capsys):
     spec = _unit_eig_spec(10, 7, seed=900)
     etas = np.sort(np.append(np.logspace(-6, -2, 9), 0.005))
     res = noise_sweep(spec, etas, realizations=100, T=30, base_seed=0)
-    logs = np.log10(res.etas)
+    logs = np.log10(etas)
     slope_c = np.polyfit(logs, np.log10(res.median_distance_centered), 1)[0]
     slope_u = np.polyfit(logs, np.log10(res.median_distance_uncentered), 1)[0]
-    i = int(np.argmin(np.abs(res.etas - 0.005)))
+    i = int(np.argmin(np.abs(etas - 0.005)))
     ratio = res.median_distance_centered[i] / res.median_distance_uncentered[i]
     ratio = max(ratio, 1.0 / ratio)
     ok = abs(slope_c - 1.0) < 0.15 and abs(slope_u - 1.0) < 0.15 and ratio < 2.0
@@ -140,10 +139,10 @@ def test_criterion_06_companion_dft_dichotomy(capsys):
     spec = random_linear_system(10, 5, seed=1100, bias="random")
     X = simulate(spec, well_posed_initial_state(spec, seed=1101), 7)
     mu = X.mean(axis=1, keepdims=True)
-    rank_drop = effective_rank(X[:, :-1]).r - effective_rank(X[:, :-1] - mu).r
+    rank_drop = effective_rank(X[:, :-1]) - effective_rank(X[:, :-1] - mu)
     d_clean = roots_of_unity_distance(companion_dmd(X - mu).companion_eigenvalues, 8)
 
-    Y = add_noise(X, NoiseSpec(eta=1e-3, seed=7))
+    Y = add_noise(X, 1e-3, 7)
     Yc = Y - Y.mean(axis=1, keepdims=True)
     comp = companion_dmd(Yc)
     d_noisy = roots_of_unity_distance(comp.companion_eigenvalues, 8)
@@ -202,7 +201,7 @@ def test_criterion_09_lorenz(capsys):
 
     grow = decay = 0
     for k in range(100):
-        Y = add_noise(X, NoiseSpec(eta=0.03, seed=k))
+        Y = add_noise(X, 0.03, k)
         p = split_snapshots(Y)
         if np.max(np.abs(centered_dmd(p, r=3).base.eigenvalues)) > 1.0:
             grow += 1

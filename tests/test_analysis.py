@@ -9,16 +9,17 @@ from hypothesis import strategies as st
 
 from cdmd import (
     InvalidInput,
-    NoiseSpec,
     add_noise,
     centered_dmd,
     dft_power_spectrum,
     dmd_power_spectrum,
     effective_rank,
     exact_dmd,
+    frequency_subtracted_dmd,
     match_spectra,
     noise_sweep,
     random_linear_system,
+    reconstruct,
     roots_of_unity_distance,
     simulate,
     spectral_distance,
@@ -117,7 +118,7 @@ class TestMatchSpectra:
 class TestNoiseSweep:
     def _spec(self):
         lams = np.append(random_linear_system(8, 4, seed=70).eigenvalues, 1.0)
-        return random_linear_system(8, 5, placement="prescribed", prescribed=lams, seed=71)
+        return random_linear_system(8, 5, prescribed=lams, seed=71)
 
     def test_noiseless_row_recovers(self):
         res = noise_sweep(self._spec(), [0.0], realizations=3, T=20, base_seed=1)
@@ -146,13 +147,13 @@ class TestNoiseSweep:
         spec, etas, R, T, base_seed = self._spec(), [0.0, 1e-4, 1e-2], 7, 20, 5
         X = simulate(spec, well_posed_initial_state(spec, seed=_cell_seed(base_seed, 2**31, 0)), T)
         clean = split_snapshots(X)
-        r_unc = effective_rank(clean.X1).r
-        r_cen = effective_rank(clean.X1 - clean.X1.mean(axis=1, keepdims=True)).r
+        r_unc = effective_rank(clean.X1)
+        r_cen = effective_rank(clean.X1 - clean.X1.mean(axis=1, keepdims=True))
         med_c, med_u = [], []
         for i, eta in enumerate(etas):
             d_c, d_u = [], []
             for j in range(R):
-                pair = split_snapshots(add_noise(X, NoiseSpec(eta, _cell_seed(base_seed, i, j))))
+                pair = split_snapshots(add_noise(X, eta, _cell_seed(base_seed, i, j)))
                 d_c.append(spectral_distance(centered_dmd(pair, r=r_cen).base.eigenvalues, spec.eigenvalues).matched_distance)
                 unc = exact_dmd(pair, r=r_unc).eigenvalues
                 d_u.append(spectral_distance(unc, spec.eigenvalues, exclude_near_unity=True).matched_distance)
@@ -246,3 +247,36 @@ class TestRootsOfUnityDistance:
     def test_order_validation(self):
         with pytest.raises(InvalidInput):
             roots_of_unity_distance([1.0], 1)
+
+
+def _noise_pair():
+    return split_snapshots(np.random.default_rng(9).standard_normal((4, 12)))
+
+
+#: Calls with an argument their function refuses, and the message it gives.
+#: Each raised an error of NumPy or Python instead (ZeroDivisionError,
+#: KeyError, a matmul ValueError, LinAlgError), or, for a negative fs, passed.
+BAD_ARGUMENTS = {
+    "dft_fs_zero": (lambda: dft_power_spectrum(np.ones((2, 8)), 0.0), "fs must be positive and finite"),
+    "dft_fs_negative": (lambda: dft_power_spectrum(np.ones((2, 8)), -1.0), "fs must be positive and finite"),
+    "dft_fs_inf": (lambda: dft_power_spectrum(np.ones((2, 8)), np.inf), "fs must be positive and finite"),
+    "dmd_dt_nan": (lambda: dmd_power_spectrum(exact_dmd(_noise_pair()), np.nan), "dt must be positive and finite"),
+    "freq_sub_2d_lambdas": (
+        lambda: frequency_subtracted_dmd(_noise_pair(), [[0.5, 0.9]]),
+        r"fixed_lambdas must be nonempty and one-dimensional, got shape \(1, 2\)",
+    ),
+    "reconstruct_x1_length": (
+        lambda: reconstruct(exact_dmd(_noise_pair()), np.ones(3), 5),
+        r"x1 must be a length-4 vector, got shape \(3,\)",
+    ),
+    "reconstruct_centered_x1_length": (
+        lambda: reconstruct(centered_dmd(_noise_pair()), np.ones(5), 5),
+        r"x1 must be a length-4 vector, got shape \(5,\)",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, message", BAD_ARGUMENTS.values(), ids=BAD_ARGUMENTS.keys())
+def test_bad_argument_raises_invalid_input(call, message):
+    with pytest.raises(InvalidInput, match=message):
+        call()

@@ -257,6 +257,16 @@ class TestSubcommands:
         assert main(["companion", "--input", str(path)]) == 1
         assert f"at most {COMPANION_MAX_T} snapshot pairs" in capsys.readouterr().err
 
+    def test_companion_nonfinite_last_column_exits_one(self, tmp_path):
+        # The last column is the regressed snapshot, checked with the rest of the trajectory.
+        path = tmp_path / "nan.txt"
+        save_matrix(np.array([[1.0, 2.0, 4.0, np.nan], [1.0, 3.0, 9.0, 27.0]]), path)
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        argv = [sys.executable, "-m", "cdmd.cli", "companion", "--input", str(path)]
+        run = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 1
+        assert run.stderr == "error: snapshot matrices contain non-finite entries\n"
+
     def test_invalid_rank_exits_one(self, golden_file, capsys):
         assert main(["dmd", "--input", str(golden_file), "--rank", "99"]) == 1
 
@@ -369,14 +379,20 @@ class TestExperiments:
 
     @pytest.mark.parametrize("option", [["--input", "m.txt"], ["--rank", "2"]], ids=["input", "rank"])
     def test_custom_options_rejected_elsewhere(self, option, tmp_path, capsys):
-        assert main(["experiment", "fig2_spectra", *option, "--out", str(tmp_path)]) == 1
-        assert f"no parameter {option[0][2:]!r}" in capsys.readouterr().err
+        # `experiment` takes custom's matrix and rank as --set input=... and --set rank=... alone.
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "fig2_spectra", *option, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+
+    def test_unknown_experiment_rejected(self):
+        with pytest.raises(InvalidInput, match="unknown experiment 'nope'"):
+            ExperimentConfig("nope")
 
     def test_custom_requires_input(self, tmp_path, capsys):
         assert main(["experiment", "custom", "--out", str(tmp_path)]) == 1
 
     def test_custom_runs(self, golden_file, tmp_path):
-        code = main(["experiment", "custom", "--input", str(golden_file), "--out", str(tmp_path)])
+        code = main(["experiment", "custom", "--set", f"input={golden_file}", "--out", str(tmp_path)])
         assert code == 0
         summary = json.loads((tmp_path / "custom_summary.json").read_text())
         assert summary["metrics"]["consistency_residual"] > 1e-3

@@ -12,7 +12,6 @@ import pytest
 from cdmd import (
     InvalidInput,
     LorenzParams,
-    NoiseSpec,
     NoiseSweepResult,
     RankTooHigh,
     add_noise,
@@ -136,7 +135,7 @@ ARRAY_DATACLASSES = {
     "LinearSystemSpec": lambda: golden_affine_trajectory()[0],
     "LorenzParams": LorenzParams,
     "SpectrumReport": lambda: spectral_distance([0.5, 0.9], [0.5, 0.9]),
-    "NoiseSweepResult": lambda: NoiseSweepResult(np.ones(2), np.ones(2), np.ones(2)),
+    "NoiseSweepResult": lambda: NoiseSweepResult(np.ones(2), np.ones(2)),
     "PowerSpectrum": lambda: dft_power_spectrum(np.ones((2, 4)), 1.0),
 }
 
@@ -458,7 +457,7 @@ class TestCenteredDmd:
 
     def test_fixed_point_absent_with_unit_eigenvalue(self):
         lams = np.append(random_linear_system(6, 3, seed=23).eigenvalues, 1.0)
-        spec = random_linear_system(6, 4, placement="prescribed", prescribed=lams, seed=24)
+        spec = random_linear_system(6, 4, prescribed=lams, seed=24)
         X = simulate(spec, well_posed_initial_state(spec, seed=25), 15)
         # The raw data carry the unit eigenvalue; centering keeps it out, so
         # compare against the uncentered model instead.
@@ -542,10 +541,10 @@ class TestBatchedEigenvalues:
 
     def test_noise_grid_stack_matches_looped_fits(self):
         lams = np.append(random_linear_system(8, 4, seed=70).eigenvalues, 1.0)
-        spec = random_linear_system(8, 5, placement="prescribed", prescribed=lams, seed=71)
+        spec = random_linear_system(8, 5, prescribed=lams, seed=71)
         X = simulate(spec, well_posed_initial_state(spec, seed=72), 20)
         for i, eta in enumerate([1e-5, 1e-3, 1e-2]):
-            Y = np.stack([add_noise(X, NoiseSpec(eta, _cell_seed(4, i, j))) for j in range(6)])
+            Y = np.stack([add_noise(X, eta, _cell_seed(4, i, j)) for j in range(6)])
             lam_c = _eigenvalues(Y, 4, centered=True)
             lam_u = _eigenvalues(Y, 5)
             for j, Yj in enumerate(Y):
@@ -555,7 +554,7 @@ class TestBatchedEigenvalues:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_lorenz_pair_matches_fits(self, seed):
-        X = add_noise(lorenz_rk4(LorenzParams()), NoiseSpec(eta=0.03, seed=seed))
+        X = add_noise(lorenz_rk4(LorenzParams()), 0.03, seed)
         pair = split_snapshots(X)
         _assert_same_spectrum(_eigenvalues(X[None], 3, centered=True)[0], centered_dmd(pair, r=3).base.eigenvalues)
         _assert_same_spectrum(_eigenvalues(X[None], 3)[0], exact_dmd(pair, r=3).eigenvalues)
@@ -709,6 +708,22 @@ class TestFrequencySubtractedDmd:
         with pytest.raises(InvalidInput, match=r"\(1\+0j\) and \(1\.0000000000001\+0j\) are too close"):
             frequency_subtracted_dmd(cases[0][0], [1.0, 1.0 + 1e-13])
 
+    @pytest.mark.parametrize(
+        "fit, k",
+        [(centered_dmd, 1), (lambda pair: frequency_subtracted_dmd(pair, [0.5, 0.9]), 2)],
+        ids=["centered", "freq_sub"],
+    )
+    def test_fixed_frequency_count_checked_before_factoring(self, fit, k, monkeypatch):
+        # Centering is the count check at lambda = [1]: a pair with T = 1 has
+        # no snapshot left once the mean is taken out.
+        def fail(*args):
+            raise AssertionError("the pair was factored before its count was checked")
+
+        monkeypatch.setattr("cdmd.dmd._coordinates", fail)
+        pair = split_snapshots(np.random.default_rng(5).standard_normal((40, k + 1)))  # tall, T = k
+        with pytest.raises(InvalidInput, match=rf"need fewer fixed frequencies \({k}\) than snapshots \({k}\)"):
+            fit(pair)
+
     def test_empty_set_rejected(self):
         # The projected fit takes an empty set (that is exact DMD); the public
         # entry point still asks for at least one fixed frequency.
@@ -775,8 +790,10 @@ class TestFrequencySubtractedDmd:
         if T == 2000 and lam > 1.01:
             with pytest.raises(RankTooHigh, match="requested rank 4 but only 0 singular values"):
                 frequency_subtracted_dmd(pair, [lam], r=4)
-            with pytest.raises(InvalidInput, match="no singular value"):
+            # The data are not zero: the error names the scale of the removed content.
+            with pytest.raises(InvalidInput, match=r"no singular value lies above rel_tol \* \S+, the size") as err:
                 frequency_subtracted_dmd(pair, [lam])
+            assert "all zero" not in str(err.value)
             return
         sub = frequency_subtracted_dmd(pair, [lam], r=4)
         assert np.linalg.norm(sub.B[:, 0] - spec.bias) <= 1e-7 * np.linalg.norm(spec.bias)

@@ -160,7 +160,7 @@ class TestCenteredPinvClosedForm:
             with_unit = i % 2 == 0
             base = random_linear_system(6, 3, seed=2000 + i)
             lams = np.append(base.eigenvalues, 1.0) if with_unit else base.eigenvalues
-            spec = random_linear_system(6, lams.size, placement="prescribed", prescribed=lams, seed=2100 + i)
+            spec = random_linear_system(6, lams.size, prescribed=lams, seed=2100 + i)
             X = simulate(spec, well_posed_initial_state(spec, seed=2200 + i), 12)
             X1 = X[:, :-1]
             P = pinv(X1)
@@ -195,7 +195,7 @@ class TestCenteredSpectrumReplacement:
         for i in range(30):
             base = random_linear_system(8, 4, seed=4000 + i)
             lams = np.append(base.eigenvalues, 1.0)
-            spec = random_linear_system(8, 5, placement="prescribed", prescribed=lams, seed=4100 + i)
+            spec = random_linear_system(8, 5, prescribed=lams, seed=4100 + i)
             X = simulate(spec, well_posed_initial_state(spec, seed=4200 + i), 16)
             pair = split_snapshots(X)
             unc = exact_dmd(pair, r=5)
@@ -263,12 +263,12 @@ class TestTotalMeanRankDrop:
         for i in range(20):
             base = random_linear_system(8, 4, seed=9000 + i)
             lams = np.append(base.eigenvalues, 1.0)
-            spec = random_linear_system(8, 5, placement="prescribed", prescribed=lams, seed=9100 + i)
+            spec = random_linear_system(8, 5, prescribed=lams, seed=9100 + i)
             X = simulate(spec, well_posed_initial_state(spec, seed=9200 + i), 16)
             X1 = X[:, :-1]
             mu = X.mean(axis=1, keepdims=True)
             assert np.linalg.norm(mu) > 1e-8
-            assert effective_rank(X1 - mu).r == effective_rank(X1).r - 1
+            assert effective_rank(X1 - mu) == effective_rank(X1) - 1
 
 
 class TestConjugateClosure:

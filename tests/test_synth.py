@@ -7,7 +7,6 @@ from cdmd import (
     IntegrationOverflow,
     InvalidInput,
     LorenzParams,
-    NoiseSpec,
     add_noise,
     dft_power_spectrum,
     lorenz_rk4,
@@ -33,7 +32,7 @@ class TestRandomLinearSystem:
         assert np.linalg.matrix_rank(A) == 7
 
     def test_prescribed_diag(self):
-        spec = random_linear_system(2, 2, placement="prescribed", prescribed=[2.0, 3.0])
+        spec = random_linear_system(2, 2, prescribed=[2.0, 3.0])
         assert sorted(np.linalg.eigvals(spec.matrix).real.round(9)) == [2.0, 3.0]
 
     def test_determinism(self):
@@ -45,10 +44,20 @@ class TestRandomLinearSystem:
     def test_validation(self):
         with pytest.raises(InvalidInput):
             random_linear_system(3, 5)
-        with pytest.raises(InvalidInput):
-            random_linear_system(3, 2, placement="prescribed")
+        with pytest.raises(InvalidInput, match="unknown placement 'prescribed'"):
+            random_linear_system(3, 2, placement="prescribed")  # a spectrum is prescribed by `prescribed=` alone
         with pytest.raises(InvalidInput):
             random_linear_system(3, 2, prescribed=[1j, 2.0])  # not conjugate-closed
+
+    @pytest.mark.parametrize("placement", ["unit_annulus", "mixed_stable_unstable"])
+    def test_rank_zero_is_the_zero_system(self, placement):
+        spec = random_linear_system(5, 0, placement=placement, bias="random")
+        assert spec.r == 0 and spec.eigenvalues.size == 0
+        assert np.array_equal(spec.matrix, np.zeros((5, 5))) and spec.bias.shape == (5,)
+
+    def test_negative_rank_rejected(self):
+        with pytest.raises(InvalidInput, match="rank -1 must be >= 0"):
+            random_linear_system(5, -1)
 
     @pytest.mark.parametrize("n, r, prescribed", [(10, 3, [0.5, 0.6]), (2, 2, [0.5, 0.6, 0.7])])
     def test_prescribed_count_must_match_rank(self, n, r, prescribed):
@@ -113,7 +122,7 @@ class TestWellPosedInitialState:
         spec = random_linear_system(10, 5, seed=23, bias="random")
         x1 = well_posed_initial_state(spec, seed=24)
         X = simulate(spec, x1, 20)
-        assert effective_rank(X[:, :-1]).r == 6  # modes + background offset
+        assert effective_rank(X[:, :-1]) == 6  # modes + background offset
 
     def test_determinism(self):
         spec = random_linear_system(6, 4, seed=25)
@@ -125,22 +134,23 @@ class TestWellPosedInitialState:
 class TestAddNoise:
     def test_zero_eta_identity(self):
         X = np.arange(6.0).reshape(2, 3)
-        assert np.array_equal(add_noise(X, NoiseSpec(eta=0.0)), X)
+        assert np.array_equal(add_noise(X, 0.0), X)
 
     def test_moments(self):
-        Z = add_noise(np.zeros((1000, 1000)), NoiseSpec(eta=1.0, seed=5))
+        Z = add_noise(np.zeros((1000, 1000)), 1.0, 5)
         assert abs(Z.mean()) < 3.3 / 1000
         assert abs(Z.std() - 1.0) < 0.01
 
     def test_determinism(self):
         X = np.zeros((4, 4))
-        a = add_noise(X, NoiseSpec(eta=0.1, seed=8))
-        b = add_noise(X, NoiseSpec(eta=0.1, seed=8))
+        a = add_noise(X, 0.1, 8)
+        b = add_noise(X, 0.1, 8)
         assert np.array_equal(a, b)
 
-    def test_negative_eta_rejected(self):
-        with pytest.raises(InvalidInput):
-            NoiseSpec(eta=-1.0)
+    @pytest.mark.parametrize("eta", [-1.0, np.nan], ids=["negative", "nan"])
+    def test_bad_eta_rejected(self, eta):
+        with pytest.raises(InvalidInput, match="noise level must be nonnegative"):
+            add_noise(np.zeros((2, 3)), eta)
 
 
 class TestLorenzRk4:
@@ -219,12 +229,12 @@ class TestLorenzRk4AgainstVectorReference:
 class TestSynthVideo:
     def test_static_background_rank_one(self):
         X = synth_video(8, 8, 10, moving=False)
-        assert effective_rank(X).r == 1
+        assert effective_rank(X) == 1
         assert np.linalg.norm(X - X.mean(axis=1, keepdims=True)) < 1e-12
 
     def test_low_rank_and_certificate(self):
         X = synth_video(16, 16, 48)
-        assert effective_rank(X[:, :-1]).r <= 6
+        assert effective_rank(X[:, :-1]) <= 6
         assert unit_eigenvalue_certificate(X[:, :-1], X, tol=1e-6)
 
     def test_determinism(self):
