@@ -58,9 +58,13 @@ class SnapshotPair:
     A pair holds a read-only copy of its data, so what a fit computes from it
     stays valid for the next fit. Shifted blocks (``X2[:, :-1]`` equal to
     ``X1[:, 1:]``, as from ``split_snapshots``) are kept as one copy of their
-    trajectory, of which ``X1`` and ``X2`` are views; a tall one is fitted
-    through one kept QR of it (see ``_factor``). Other blocks are copied one
-    by one. A replaced, copied or unpickled pair is built, and checked, again.
+    trajectory, of which ``X1`` and ``X2`` are views, and that copy is checked
+    for non-finite entries once. A tall one is fitted through one kept QR of
+    it, and from its first tall fit on it also keeps the shifted trajectory
+    ``[X - mu1 1^T, mu1]`` that the QR factored, one more n x (T+2) block,
+    from which centered fits lift (see ``_factor``). Other blocks are copied
+    and checked one by one. A replaced, copied or unpickled pair is built,
+    and checked, again, without the kept factor.
     """
 
     X1: np.ndarray
@@ -78,14 +82,15 @@ class SnapshotPair:
             X1, X2 = X[:, :-1], X[:, 1:]
         else:
             X1, X2 = _read_only(np.array(X1)), _read_only(np.array(X2))
-        if not (np.all(np.isfinite(X1)) and np.all(np.isfinite(X2))):
+        # A trajectory is checked once, not as two blocks that share T - 1 columns.
+        if not all(np.all(np.isfinite(M)) for M in ((X1, X2) if X is None else (X,))):
             raise InvalidInput("snapshot matrices contain non-finite entries")
         object.__setattr__(self, "X1", X1)
         object.__setattr__(self, "X2", X2)
         object.__setattr__(self, "_trajectory", X)
 
     def __reduce__(self):
-        return SnapshotPair, (self.X1, self.X2)  # without the kept QR
+        return SnapshotPair, (self.X1, self.X2)  # without the kept factor
 
     @property
     def n(self) -> int:
@@ -97,12 +102,17 @@ class SnapshotPair:
 
     @functools.cached_property
     def _factor(self):
-        """``mu1``, the column mean of ``X1``, and the (T+2) x (T+2) Householder R factor of ``[X - mu1 1^T, mu1]``.
+        """``mu1``, the column mean of ``X1``, the (T+2) x (T+2) R factor of ``Y = [X - mu1 1^T, mu1]``, and ``Y``.
 
         ``X`` is the trajectory of a shifted pair. Taken on the pair's first
         tall fit and kept, so every fit of the pair shares one QR (see
-        ``_coordinates``). Raises InvalidInput where the factor is
-        non-finite, as when the column norms overflow.
+        ``_coordinates``). ``Y`` is kept read-only as well: a centered fit
+        lifts from its view ``Y[:, 1:T+1] = X2 - mu1 1^T`` rather than
+        subtract ``mu1`` from ``X2`` again. It costs one n x (T+2) block for
+        the pair's life. The first fit builds it for the QR in any case, but
+        an exact first fit lifts its modes while it is held, so that fit's
+        peak can rise by up to one such block. Raises InvalidInput where the
+        factor is non-finite, as when the column norms overflow.
         """
         X, X1 = self._trajectory, self.X1
         with np.errstate(over="ignore", invalid="ignore"):
@@ -115,7 +125,7 @@ class SnapshotPair:
         R = np.linalg.qr(Y, mode="r")
         if not np.all(np.isfinite(R)):
             raise InvalidInput("the snapshot matrices are too large: their QR coordinates are non-finite")
-        return mu1, R
+        return mu1, R, _read_only(Y)
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,8 +213,9 @@ def _coordinates(data, centered: bool):
     of ``[X - mu1 1^T, mu1]`` (see ``SnapshotPair._factor``), and ``Q`` is
     never formed:
     - centered, from the (T+1)-row coordinates of the shifted trajectory and
-      of ``mu1`` projected on their span; ``Y2`` is formed for the fit's lift
-      and not kept;
+      of ``mu1`` projected on their span; ``Y2`` is a view of the shifted
+      trajectory that the QR factored and the pair keeps, so no fit after the
+      first forms an n x T block;
     - uncentered, from ``R[:, :T+1] + R[:, T+1] 1^T`` over all T + 2 rows:
       the columns of ``X1 - mu1 1^T`` sum to zero, so ``mu1`` need not lie in
       the span of the shifted trajectory, and the last row of ``R`` is not
@@ -223,9 +234,9 @@ def _coordinates(data, centered: bool):
     X1, X2, X = (data.X1, data.X2, data._trajectory) if pair else (data[..., :-1], data[..., 1:], data)
     n, T = X1.shape[-2:]
     if pair and X is not None and n >= TALL_FACTOR * (T + 1):
-        mu1, R = data._factor
+        mu1, R, Y = data._factor
         if centered:
-            return R[: T + 1, :T], R[: T + 1, 1 : T + 1], R[: T + 1, -1], X2 - mu1[:, None], mu1
+            return R[: T + 1, :T], R[: T + 1, 1 : T + 1], R[: T + 1, -1], Y[:, 1 : T + 1], mu1
         C = R[:, : T + 1] + R[:, -1:]
         return C[:, :T], C[:, 1:], None, X2, None
     if not centered:

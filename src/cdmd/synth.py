@@ -51,6 +51,8 @@ class LinearSystemSpec:
         if self.r > 0:
             if V.shape != (self.n, self.r):
                 raise InvalidInput(f"eigenvector matrix must be {self.n}x{self.r}, got {V.shape}")
+            if not np.all(np.isfinite(lams)):
+                raise InvalidInput(f"eigenvalues must be finite, got {lams}")
             sep = np.abs(lams[:, None] - lams[None, :])
             np.fill_diagonal(sep, np.inf)
             if np.min(sep) <= 1e-6:

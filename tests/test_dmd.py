@@ -85,15 +85,29 @@ class TestSplitSnapshots:
 
     def test_copies_are_read_only_pairs(self):
         # A pickled or deep-copied pair is rebuilt: its blocks stay read-only
-        # views of one copy, and it fits as the original does.
+        # views of one copy, it carries neither the kept QR nor the shifted
+        # trajectory, and it fits as the original does.
         pair = split_snapshots(np.random.default_rng(7).standard_normal((60, 10)))
         model = exact_dmd(pair)
+        assert "_factor" in vars(pair)
         for other in (pickle.loads(pickle.dumps(pair)), copy.deepcopy(pair)):
+            assert "_factor" not in vars(other)
             for block in (other.X1, other.X2):
                 with pytest.raises(ValueError):
                     block[0, 0] = -1.0
             assert np.shares_memory(other.X1, other.X2)
             assert np.array_equal(exact_dmd(other).eigenvalues, model.eigenvalues)
+
+    @pytest.mark.parametrize("nonfinite", [np.nan, np.inf])
+    @pytest.mark.parametrize("column", ["X1_first", "X2_last", "shared"])
+    def test_nonfinite_entry_rejected_when_built(self, column, nonfinite):
+        # A shifted pair checks its trajectory once: the first column of X1
+        # and the last of X2 belong to one block only, and are checked too.
+        X = np.random.default_rng(8).standard_normal((5, 7))
+        X[2, {"X1_first": 0, "X2_last": -1, "shared": 3}[column]] = nonfinite
+        for make in (split_snapshots, lambda X: SnapshotPair(X[:, :-1].copy(), X[:, 1:].copy())):
+            with pytest.raises(InvalidInput, match="snapshot matrices contain non-finite entries"):
+                make(X)
 
     @pytest.mark.parametrize("shape", [(60, 10), (12, 41)], ids=["tall", "wide"])
     def test_replaced_block_is_fitted_as_unshifted(self, shape):
@@ -269,6 +283,41 @@ def test_one_qr_per_pair(monkeypatch):
         frequency_subtracted_dmd(pair, [1.0, -1.0], r=r)
         frequency_subtracted_dmd(pair, [np.exp(0.7j), np.exp(-0.7j)], r=r)
     assert rows.count(pair.n) == 1
+
+
+class TestKeptShiftedTrajectory:
+    """A tall pair keeps the shifted trajectory ``[X - mu1 1^T, mu1]`` that its QR factored."""
+
+    def test_kept_block_is_a_read_only_copy(self):
+        X = np.random.default_rng(11).standard_normal((60, 10))
+        pair = split_snapshots(X)
+        centered_dmd(pair)
+        Y = pair._factor[2]
+        assert Y.shape == (60, 11) and not Y.flags.writeable
+        assert not np.shares_memory(Y, X) and not np.shares_memory(Y, pair._trajectory)
+        assert np.array_equal(Y[:, :-1], X - pair.X1.mean(axis=1)[:, None])
+
+    @pytest.mark.parametrize(
+        "fit", [centered_dmd, lambda pair: frequency_subtracted_dmd(pair, [1.0, -1.0])], ids=["centered", "fs_pm1"]
+    )
+    def test_refit_forms_no_shifted_block(self, fit):
+        # The first fit factors [X - mu1 1^T, mu1] and keeps it; a refit lifts
+        # from its view X2 - mu1 1^T. On this pair the rest of the refit peaks
+        # at about 0.32 blocks of X2's size, and forming the difference again
+        # would add one block.
+        pair = split_snapshots(synth_video(64, 64, 48, seed=0))
+        first = fit(pair)
+        tracemalloc.start()
+        try:
+            refit = fit(pair)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * pair.X2.nbytes
+        first_fields, refit_fields = (dict(vars(m), **vars(m.base)) for m in (first, refit))
+        for name, value in first_fields.items():
+            if isinstance(value, np.ndarray):
+                assert np.array_equal(refit_fields[name], value), name
 
 
 def test_exact_fit_builds_no_basis(monkeypatch):

@@ -55,6 +55,14 @@ class TestRandomLinearSystem:
         assert spec.r == 0 and spec.eigenvalues.size == 0
         assert np.array_equal(spec.matrix, np.zeros((5, 5))) and spec.bias.shape == (5,)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.5, np.nan)], ids=["nan", "inf", "complex_nan"])
+    def test_nonfinite_eigenvalue_rejected(self, bad):
+        # NaN fails every comparison, so the distinctness check alone cannot catch it.
+        with pytest.raises(InvalidInput, match="eigenvalues must be finite"):
+            random_linear_system(3, 2, prescribed=[bad, 0.25], seed=1)
+        with pytest.raises(InvalidInput, match="eigenvalues must be finite"):
+            LinearSystemSpec(2, 1, [bad], np.ones((2, 1)))
+
     def test_negative_rank_rejected(self):
         with pytest.raises(InvalidInput, match="rank -1 must be >= 0"):
             random_linear_system(5, -1)
