@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .analysis import (
     NoiseSweepResult,
     PowerSpectrum,
-    SpectrumReport,
     dft_power_spectrum,
     dmd_power_spectrum,
     match_spectra,

@@ -18,14 +18,6 @@ from .synth import LinearSystemSpec, add_noise, simulate, well_posed_initial_sta
 
 
 @dataclass(frozen=True, eq=False)
-class SpectrumReport:
-    """Distances from estimated eigenvalues to the nearest true eigenvalue."""
-
-    matched_distance: float
-    per_eigen_distances: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class NoiseSweepResult:
     """Median eigenvalue errors of the centered and uncentered fits, one per noise level."""
 
@@ -39,21 +31,20 @@ class PowerSpectrum:
     power: np.ndarray
 
 
-def spectral_distance(estimated, truth, exclude_near_unity: bool = False) -> SpectrumReport:
+def _spectrum(eigenvalues, name) -> np.ndarray:
+    """``eigenvalues`` as a complex vector; raises InvalidInput if it is empty or not finite."""
+    lams = np.atleast_1d(np.asarray(eigenvalues, dtype=complex))
+    if lams.size == 0 or not np.all(np.isfinite(lams)):
+        raise InvalidInput(f"{name} eigenvalues must be nonempty and finite, got {lams}")
+    return lams
+
+
+def spectral_distance(estimated, truth) -> float:
     """Sum over estimated eigenvalues of the distance to the nearest truth.
 
-    With ``exclude_near_unity`` the single estimated eigenvalue closest to 1
-    is dropped before summing. Ties between equally near truth eigenvalues
-    resolve to the lowest truth index.
+    Raises InvalidInput if either list is empty or holds a non-finite value.
     """
-    est = np.atleast_1d(np.asarray(estimated, dtype=complex))
-    tru = np.atleast_1d(np.asarray(truth, dtype=complex))
-    if tru.size == 0:
-        raise InvalidInput("truth eigenvalue list must be nonempty")
-    if est.size == 0:
-        raise InvalidInput("estimated eigenvalue list must be nonempty")
-    dists = _nearest_truth_distances(est, tru, exclude_near_unity)
-    return SpectrumReport(float(np.sum(dists)), dists)
+    return float(np.sum(_nearest_truth_distances(_spectrum(estimated, "estimated"), _spectrum(truth, "truth"))))
 
 
 def _nearest_truth_distances(est, truth, exclude_near_unity: bool = False) -> np.ndarray:
@@ -178,13 +169,17 @@ def dft_power_spectrum(X, fs: float) -> PowerSpectrum:
 
     Uses the 1/N forward normalization; one-sided bins are weighted so the
     total power equals the mean squared signal summed over channels. Raises
-    InvalidInput unless the sampling rate ``fs`` is positive and finite.
+    InvalidInput unless the sampling rate ``fs`` is positive and finite and
+    the data are real and finite.
     """
     if not 0.0 < fs < np.inf:
         raise InvalidInput(f"fs must be positive and finite, got {fs}")
     X = np.asarray(X)
     if X.ndim != 2 or X.shape[1] < 2:
         raise InvalidInput("need a channels x samples matrix with >= 2 samples")
+    # min and max carry a NaN or an inf through without a channels x samples temporary.
+    if np.iscomplexobj(X) or not np.all(np.isfinite((X.min(), X.max()))):
+        raise InvalidInput("data must be real and finite")
     N = X.shape[1]
     coeffs = np.fft.rfft(X, axis=1) / N
     freqs = np.fft.rfftfreq(N, d=1.0 / fs)
@@ -219,9 +214,12 @@ def dmd_power_spectrum(model: DmdModel, dt: float) -> PowerSpectrum:
 
 
 def roots_of_unity_distance(eigenvalues, order: int) -> float:
-    """Max over eigenvalues of the distance to the nearest order-th root of unity."""
+    """Max over eigenvalues of the distance to the nearest order-th root of unity.
+
+    Raises InvalidInput unless ``order >= 2`` and the eigenvalues are nonempty and finite.
+    """
     if order < 2:
         raise InvalidInput("order must be >= 2")
-    lams = np.atleast_1d(np.asarray(eigenvalues, dtype=complex))
+    lams = _spectrum(eigenvalues, "the")
     roots = np.exp(2j * np.pi * np.arange(order) / order)
     return float(np.max(np.abs(lams[:, None] - roots[None, :]).min(axis=1)))

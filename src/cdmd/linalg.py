@@ -194,11 +194,14 @@ def effective_rank(
     ``optimal_hard_threshold`` applies the aspect-ratio-dependent hard
     threshold of Gavish & Donoho (2014), using ``noise_hint`` as the noise
     standard deviation when given. Either method raises InvalidInput unless
-    ``0 < rel_tol < 1``.
+    ``0 < rel_tol < 1``, and unless ``noise_hint``, when given, is finite and
+    ``>= 0``.
     """
     M = _as_matrix(M)
     if method not in RANK_METHODS:
         raise InvalidInput(f"unknown rank method {method!r}")
+    if noise_hint is not None and not 0 <= noise_hint < np.inf:
+        raise InvalidInput(f"noise_hint must be nonnegative and finite, got {noise_hint}")
     s = _svd(M, compute_uv=False)
     exact = _rank(s, rel_tol)  # rejects a rel_tol outside (0, 1) for either method
     if method == "exact_tol" or s[0] == 0.0:

@@ -16,8 +16,6 @@ import numpy as np
 from .exceptions import IntegrationOverflow, InvalidInput
 from .linalg import _svd, pinv
 
-PLACEMENTS = ("unit_annulus", "mixed_stable_unstable")
-
 #: Minimum pairwise separation for randomly drawn eigenvalue sets.
 MIN_EIG_SEPARATION = 1e-3
 
@@ -25,20 +23,31 @@ MIN_EIG_SEPARATION = 1e-3
 MAX_EIGVEC_COND = 100.0
 
 
-def _conjugate_closed(lams, tol=1e-9) -> bool:
-    lams = np.asarray(lams, dtype=complex)
-    for lam in lams:
-        if abs(lam.imag) > tol and np.min(np.abs(lams - np.conj(lam))) > tol:
-            return False
-    return True
+def _conjugate_pairs(lams, real_tol=1e-12):
+    """Yield ``(i, j)`` once per real eigenvalue (``j = i``) and once per conjugate pair.
+
+    An eigenvalue with ``|imag| <= real_tol`` is real; any other is paired
+    with ``lams[j]``, the eigenvalue nearest its conjugate. Pairs come in
+    increasing ``i``, and an index already paired is not visited again.
+    """
+    done = np.zeros(lams.size, dtype=bool)
+    for i in range(lams.size):
+        if done[i]:
+            continue
+        j = i if abs(lams[i].imag) <= real_tol else int(np.argmin(np.abs(lams - np.conj(lams[i]))))
+        done[i] = done[j] = True
+        yield i, j
 
 
 @dataclass(frozen=True, eq=False)
 class LinearSystemSpec:
-    """Factorized description of a real system x_{j+1} = A x_j (+ b)."""
+    """Factorized description of a real system x_{j+1} = A x_j (+ b).
 
-    n: int
-    r: int
+    ``A = V diag(eigenvalues) V^+``, with one column of the n x r eigenvector
+    matrix ``V`` per eigenvalue; ``n`` and ``r`` are read off ``V``. An
+    ``r = 0`` spec passes an n x 0 matrix and is the zero system.
+    """
+
     eigenvalues: np.ndarray
     eigenvector_matrix: np.ndarray
     bias: np.ndarray | None = None
@@ -46,25 +55,35 @@ class LinearSystemSpec:
     def __post_init__(self):
         lams = np.atleast_1d(np.asarray(self.eigenvalues, dtype=complex))
         V = np.asarray(self.eigenvector_matrix, dtype=complex)
-        if lams.size != self.r:
-            raise InvalidInput(f"expected {self.r} eigenvalues, got {lams.size}")
-        if self.r > 0:
-            if V.shape != (self.n, self.r):
-                raise InvalidInput(f"eigenvector matrix must be {self.n}x{self.r}, got {V.shape}")
+        if lams.ndim != 1 or V.ndim != 2 or V.shape[1] != lams.size:
+            raise InvalidInput(f"need a 2-D eigenvector matrix with one column per eigenvalue, got {V.shape} for {lams.size}")
+        if lams.size > 0:
             if not np.all(np.isfinite(lams)):
                 raise InvalidInput(f"eigenvalues must be finite, got {lams}")
             sep = np.abs(lams[:, None] - lams[None, :])
             np.fill_diagonal(sep, np.inf)
             if np.min(sep) <= 1e-6:
                 raise InvalidInput("eigenvalues must be pairwise distinct (separation > 1e-6)")
-            if not _conjugate_closed(lams):
+            # A non-real eigenvalue with no other near its conjugate pairs with itself.
+            if not all(
+                abs(lams[j] - np.conj(lams[i])) <= 1e-9 if i != j else abs(lams[i].imag) <= 1e-9
+                for i, j in _conjugate_pairs(lams, real_tol=1e-9)
+            ):
                 raise InvalidInput("eigenvalue set must be closed under conjugation")
         bias = None if self.bias is None else np.asarray(self.bias, dtype=float)
-        if bias is not None and bias.shape != (self.n,):
-            raise InvalidInput(f"bias must be a length-{self.n} vector")
+        if bias is not None and bias.shape != (V.shape[0],):
+            raise InvalidInput(f"bias must be a length-{V.shape[0]} vector")
         object.__setattr__(self, "eigenvalues", lams)
         object.__setattr__(self, "eigenvector_matrix", V)
         object.__setattr__(self, "bias", bias)
+
+    @property
+    def n(self) -> int:
+        return self.eigenvector_matrix.shape[0]
+
+    @property
+    def r(self) -> int:
+        return self.eigenvalues.size
 
     @property
     def matrix(self) -> np.ndarray:
@@ -90,23 +109,19 @@ class LorenzParams:
     def __post_init__(self):
         if self.dt <= 0 or self.steps < 1:
             raise InvalidInput("dt must be positive and steps >= 1")
-        object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
+        x0 = np.asarray(self.x0, dtype=float)
+        if x0.shape != (3,) or not np.all(np.isfinite(x0)):
+            raise InvalidInput(f"x0 must be a finite 3-vector, got {x0}")
+        object.__setattr__(self, "x0", x0)
 
 
-def _draw_eigenvalues(rng, r, placement):
+def _draw_eigenvalues(rng, r):
     n_pairs, n_real = r // 2, r % 2
     while True:
-        if placement == "unit_annulus":
-            moduli = rng.uniform(0.8, 1.05, size=n_pairs + n_real)
-            # Real eigenvalues stay below 1 so none collides with the
-            # background eigenvalue of an affine trajectory.
-            moduli[n_pairs:] = rng.uniform(0.8, 0.97, size=n_real)
-        else:  # mixed_stable_unstable
-            moduli = np.concatenate([
-                rng.uniform(0.4, 0.95, size=(n_pairs + n_real + 1) // 2),
-                rng.uniform(1.0, 1.25, size=(n_pairs + n_real) // 2),
-            ])
-            rng.shuffle(moduli)
+        moduli = rng.uniform(0.8, 1.05, size=n_pairs + n_real)
+        # Real eigenvalues stay below 1 so none collides with the
+        # background eigenvalue of an affine trajectory.
+        moduli[n_pairs:] = rng.uniform(0.8, 0.97, size=n_real)
         angles = rng.uniform(0.05 * np.pi, 0.95 * np.pi, size=n_pairs)
         pairs = moduli[:n_pairs] * np.exp(1j * angles)
         lams = np.concatenate([pairs, np.conj(pairs), moduli[n_pairs:]])
@@ -117,62 +132,47 @@ def _draw_eigenvalues(rng, r, placement):
 
 
 def _draw_eigenvectors(rng, n, lams):
-    r = lams.size
     # Real eigenvalues get real columns; conjugate pairs get conjugate columns.
     while True:
-        V = np.zeros((n, r), dtype=complex)
-        done = np.zeros(r, dtype=bool)
-        for i in range(r):
-            if done[i]:
-                continue
-            if abs(lams[i].imag) < 1e-12:
+        V = np.zeros((n, lams.size), dtype=complex)
+        for i, j in _conjugate_pairs(lams):
+            if i == j:
                 V[:, i] = rng.standard_normal(n)
-                done[i] = True
             else:
-                j = int(np.argmin(np.abs(lams - np.conj(lams[i]))))
                 col = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2)
                 V[:, i], V[:, j] = col, np.conj(col)
-                done[i] = done[j] = True
         s = _svd(V, compute_uv=False)
-        if r == 0 or s[0] <= MAX_EIGVEC_COND * s[-1]:
+        if lams.size == 0 or s[0] <= MAX_EIGVEC_COND * s[-1]:
             return V
 
 
-def random_linear_system(
-    n: int,
-    r: int,
-    placement: str = "unit_annulus",
-    prescribed=None,
-    seed: int = 0,
-    bias=None,
-) -> LinearSystemSpec:
+def random_linear_system(n: int, r: int, prescribed=None, seed: int = 0, bias=None) -> LinearSystemSpec:
     """Draw a real rank-``r`` system with a controlled eigenvalue set.
 
     ``prescribed``, when given, lists the ``r`` eigenvalues, which
-    ``LinearSystemSpec`` checks; otherwise they are drawn by ``placement``.
-    ``r = 0`` gives the zero matrix. ``bias`` may be None, an explicit
-    vector, or ``"random"`` for a random standard-normal affine term.
-    Deterministic per seed.
+    ``LinearSystemSpec`` checks. Otherwise ``r // 2`` conjugate pairs are
+    drawn with moduli in [0.8, 1.05] and angles in [0.05 pi, 0.95 pi], and
+    a real eigenvalue, for odd ``r``, in [0.8, 0.97]. ``r = 0`` gives the
+    zero matrix. ``bias`` may be None, an explicit vector, or ``"random"``
+    for a random standard-normal affine term. Deterministic per seed.
     """
     if r < 0:
         raise InvalidInput(f"rank {r} must be >= 0")
     if r > n:
         raise InvalidInput(f"rank {r} exceeds dimension {n}")
-    if placement not in PLACEMENTS:
-        raise InvalidInput(f"unknown placement {placement!r}")
     rng = np.random.default_rng(seed)
     if prescribed is not None:
         lams = np.atleast_1d(np.asarray(prescribed, dtype=complex))
         if lams.size != r:
             raise InvalidInput(f"rank {r} does not match the {lams.size} prescribed eigenvalues")
     else:
-        lams = _draw_eigenvalues(rng, r, placement)
+        lams = _draw_eigenvalues(rng, r)
     V = _draw_eigenvectors(rng, n, lams)
     if isinstance(bias, str):
         if bias != "random":
             raise InvalidInput(f"unknown bias option {bias!r}")
         bias = rng.standard_normal(n)
-    return LinearSystemSpec(n=n, r=r, eigenvalues=lams, eigenvector_matrix=V, bias=bias)
+    return LinearSystemSpec(lams, V, bias)
 
 
 def well_posed_initial_state(spec: LinearSystemSpec, seed: int = 0, forcing_lambda=None) -> np.ndarray:
@@ -184,27 +184,19 @@ def well_posed_initial_state(spec: LinearSystemSpec, seed: int = 0, forcing_lamb
     added — the fixed point ``(I - A)^-1 b``, or ``(lambda I - A)^-1 b``
     when the trajectory will be simulated with geometric forcing — keeping
     the whole trajectory (first snapshot included) inside the invariant
-    affine subspace of the dynamics. Deterministic per seed.
+    affine subspace of the dynamics. For ``r = 0`` the modal part is zero, so
+    the state is that particular solution, or zeros for a linear spec.
+    Deterministic per seed.
     """
     rng = np.random.default_rng(seed)
-    if spec.r == 0:
-        return rng.standard_normal(spec.n)
-    lams = spec.eigenvalues
-    V = spec.eigenvector_matrix
     coeffs = np.zeros(spec.r, dtype=complex)
-    done = np.zeros(spec.r, dtype=bool)
-    for i in range(spec.r):
-        if done[i]:
-            continue
-        if abs(lams[i].imag) < 1e-12:
+    for i, j in _conjugate_pairs(spec.eigenvalues):
+        if i == j:
             coeffs[i] = rng.uniform(0.5, 1.5) * rng.choice([-1.0, 1.0])
-            done[i] = True
         else:
-            j = int(np.argmin(np.abs(lams - np.conj(lams[i]))))
             coeffs[i] = rng.uniform(0.5, 1.5) * np.exp(2j * np.pi * rng.uniform())
             coeffs[j] = np.conj(coeffs[i])
-            done[i] = done[j] = True
-    x1 = np.real(V @ coeffs)
+    x1 = np.real(spec.eigenvector_matrix @ coeffs)
     if spec.bias is not None:
         lam = 1.0 if forcing_lambda is None else complex(forcing_lambda)
         M = lam * np.eye(spec.n) - spec.matrix
@@ -257,10 +249,10 @@ def add_noise(X, eta: float, seed: int = 0) -> np.ndarray:
     """``X`` plus i.i.d. Gaussian measurement noise of standard deviation ``eta``, as a new array.
 
     Deterministic per ``seed``; ``eta = 0`` returns a copy of ``X``. Raises
-    InvalidInput unless ``eta >= 0`` (a NaN ``eta`` included).
+    InvalidInput unless ``eta`` is finite and ``>= 0``.
     """
-    if not eta >= 0:
-        raise InvalidInput(f"noise level must be nonnegative, got {eta}")
+    if not 0 <= eta < np.inf:
+        raise InvalidInput(f"noise level must be nonnegative and finite, got {eta}")
     X = np.asarray(X)
     if eta == 0.0:
         return X.copy()
@@ -360,10 +352,16 @@ def synth_line_noise(
 
     Each channel is the shared ``f0`` sinusoid (random per-channel amplitude
     and phase) plus a handful of low-frequency oscillatory modes and white
-    noise. Deterministic per seed.
+    noise. Deterministic per seed. Raises InvalidInput unless ``fs`` is
+    positive and finite, ``f0`` lies below the Nyquist frequency and
+    ``fs * duration`` rounds to at least 2 samples.
     """
+    if not 0 < fs < np.inf:
+        raise InvalidInput(f"fs must be positive and finite, got {fs}")
     if f0 >= fs / 2:
         raise InvalidInput(f"f0 = {f0} must be below the Nyquist frequency {fs / 2}")
+    if not 1.5 <= fs * duration < np.inf:
+        raise InvalidInput(f"fs * duration = {fs * duration} must round to at least 2 samples")
     rng = np.random.default_rng(seed)
     samples = int(round(fs * duration))
     t = np.arange(samples) / fs

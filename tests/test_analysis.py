@@ -27,27 +27,25 @@ from cdmd import (
     synth_line_noise,
     well_posed_initial_state,
 )
-from cdmd.analysis import _cell_seed
+from cdmd.analysis import _cell_seed, _nearest_truth_distances
 from cdmd.dmd import DmdModel
 
 
 class TestSpectralDistance:
     def test_exact_match_zero(self):
         lams = [0.9, 0.5j, -0.5j]
-        assert spectral_distance(lams, lams).matched_distance == 0.0
+        assert spectral_distance(lams, lams) == 0.0
 
     def test_exclude_near_unity(self):
-        rep = spectral_distance([1.0, 0.9], [0.9], exclude_near_unity=True)
-        assert rep.matched_distance == 0.0
+        # The noise sweep drops the uncentered estimate nearest 1 before summing.
+        dists = _nearest_truth_distances(np.array([1.0, 0.9]), np.array([0.9]), exclude_near_unity=True)
+        assert np.array_equal(dists, [0.0])
 
     def test_hand_enumerable(self):
-        rep = spectral_distance([0.91, 0.49], [0.9, 0.5])
-        assert np.isclose(rep.matched_distance, 0.02)
-        assert np.allclose(sorted(rep.per_eigen_distances), [0.01, 0.01])
+        assert np.isclose(spectral_distance([0.91, 0.49], [0.9, 0.5]), 0.02)
 
     def test_sum_equals_parts(self):
-        rep = spectral_distance([0.5, 1.2, -0.3], [0.4, 1.0])
-        assert np.isclose(rep.matched_distance, rep.per_eigen_distances.sum())
+        assert np.isclose(spectral_distance([0.5, 1.2, -0.3], [0.4, 1.0]), 0.1 + 0.2 + 0.7)
 
     def test_empty_truth_rejected(self):
         with pytest.raises(InvalidInput):
@@ -154,9 +152,9 @@ class TestNoiseSweep:
             d_c, d_u = [], []
             for j in range(R):
                 pair = split_snapshots(add_noise(X, eta, _cell_seed(base_seed, i, j)))
-                d_c.append(spectral_distance(centered_dmd(pair, r=r_cen).base.eigenvalues, spec.eigenvalues).matched_distance)
+                d_c.append(spectral_distance(centered_dmd(pair, r=r_cen).base.eigenvalues, spec.eigenvalues))
                 unc = exact_dmd(pair, r=r_unc).eigenvalues
-                d_u.append(spectral_distance(unc, spec.eigenvalues, exclude_near_unity=True).matched_distance)
+                d_u.append(_nearest_truth_distances(unc, spec.eigenvalues, exclude_near_unity=True).sum())
             med_c.append(np.median(d_c))
             med_u.append(np.median(d_u))
         res = noise_sweep(spec, etas, realizations=R, T=T, base_seed=base_seed)
@@ -255,11 +253,19 @@ def _noise_pair():
 
 #: Calls with an argument their function refuses, and the message it gives.
 #: Each raised an error of NumPy or Python instead (ZeroDivisionError,
-#: KeyError, a matmul ValueError, LinAlgError), or, for a negative fs, passed.
+#: KeyError, a matmul ValueError, a TypeError, LinAlgError), or passed, as
+#: for a negative fs, and returned NaN for a NaN eigenvalue or sample.
 BAD_ARGUMENTS = {
     "dft_fs_zero": (lambda: dft_power_spectrum(np.ones((2, 8)), 0.0), "fs must be positive and finite"),
     "dft_fs_negative": (lambda: dft_power_spectrum(np.ones((2, 8)), -1.0), "fs must be positive and finite"),
     "dft_fs_inf": (lambda: dft_power_spectrum(np.ones((2, 8)), np.inf), "fs must be positive and finite"),
+    "dft_complex_data": (lambda: dft_power_spectrum(np.ones((2, 8), dtype=complex), 1.0), "data must be real and finite"),
+    "dft_nan_data": (lambda: dft_power_spectrum(np.array([[1.0, np.nan, 0.0]]), 1.0), "data must be real and finite"),
+    "roots_empty": (lambda: roots_of_unity_distance([], 4), "eigenvalues must be nonempty and finite"),
+    "roots_nan": (lambda: roots_of_unity_distance([np.nan], 4), "eigenvalues must be nonempty and finite"),
+    "spectral_distance_nan_estimate": (lambda: spectral_distance([np.nan], [1.0]), "estimated eigenvalues must be nonempty and finite"),
+    "spectral_distance_inf_truth": (lambda: spectral_distance([1.0], [np.inf]), "truth eigenvalues must be nonempty and finite"),
+    "spectral_distance_empty_estimate": (lambda: spectral_distance([], [1.0]), "estimated eigenvalues must be nonempty and finite"),
     "dmd_dt_nan": (lambda: dmd_power_spectrum(exact_dmd(_noise_pair()), np.nan), "dt must be positive and finite"),
     "freq_sub_2d_lambdas": (
         lambda: frequency_subtracted_dmd(_noise_pair(), [[0.5, 0.9]]),

@@ -26,7 +26,6 @@ from cdmd import (
     random_linear_system,
     reconstruct,
     simulate,
-    spectral_distance,
     split_snapshots,
     synth_line_noise,
     synth_video,
@@ -52,8 +51,7 @@ from oracles import affine_dmd_direct
 def golden_affine_trajectory():
     """A = diag(2,3), b = [1,2], x1 = [1,1]; hand-checked four snapshots."""
     spec = LinearSystemSpec(
-        n=2, r=2, eigenvalues=np.array([2.0, 3.0]),
-        eigenvector_matrix=np.eye(2, dtype=complex), bias=np.array([1.0, 2.0]),
+        eigenvalues=np.array([2.0, 3.0]), eigenvector_matrix=np.eye(2, dtype=complex), bias=np.array([1.0, 2.0]),
     )
     X = simulate(spec, np.array([1.0, 1.0]), 3)
     return spec, X
@@ -148,7 +146,6 @@ ARRAY_DATACLASSES = {
     "CompanionModel": lambda: companion_dmd(golden_affine_trajectory()[1]),
     "LinearSystemSpec": lambda: golden_affine_trajectory()[0],
     "LorenzParams": LorenzParams,
-    "SpectrumReport": lambda: spectral_distance([0.5, 0.9], [0.5, 0.9]),
     "NoiseSweepResult": lambda: NoiseSweepResult(np.ones(2), np.ones(2)),
     "PowerSpectrum": lambda: dft_power_spectrum(np.ones((2, 4)), 1.0),
 }
@@ -385,10 +382,7 @@ class TestCanonicalizeMode:
 
 class TestExactDmd:
     def test_diagonal_recovery(self):
-        spec = LinearSystemSpec(
-            n=2, r=2, eigenvalues=np.array([0.9, 0.5]),
-            eigenvector_matrix=np.eye(2, dtype=complex),
-        )
+        spec = LinearSystemSpec(eigenvalues=np.array([0.9, 0.5]), eigenvector_matrix=np.eye(2, dtype=complex))
         X = simulate(spec, np.array([1.0, 1.0]), 10)
         model = exact_dmd(split_snapshots(X))
         # Oracle: dense eigensolve of X2 X1^+.

@@ -40,10 +40,7 @@ from oracles import unit_eigenvalue_certificate
 
 def _diag_system(diag, bias=None):
     diag = np.asarray(diag, dtype=complex)
-    n = diag.size
-    return LinearSystemSpec(
-        n=n, r=n, eigenvalues=diag, eigenvector_matrix=np.eye(n, dtype=complex), bias=bias
-    )
+    return LinearSystemSpec(eigenvalues=diag, eigenvector_matrix=np.eye(diag.size, dtype=complex), bias=bias)
 
 
 class TestPinv:
@@ -107,6 +104,12 @@ class TestEffectiveRank:
         M = 10.0 * rng.standard_normal((40, 6)) @ rng.standard_normal((6, 60))
         M = M + 0.1 * rng.standard_normal(M.shape)
         assert effective_rank(M, method="optimal_hard_threshold", noise_hint=0.1) == 6
+
+    @pytest.mark.parametrize("noise_hint", [-1.0, np.nan, np.inf], ids=["negative", "nan", "inf"])
+    def test_bad_noise_hint_rejected(self, noise_hint):
+        # On eye(3) a negative hint counted 3 and a NaN hint 0.
+        with pytest.raises(InvalidInput, match="noise_hint must be nonnegative and finite"):
+            effective_rank(np.eye(3), method="optimal_hard_threshold", noise_hint=noise_hint)
 
     def test_optimal_hard_threshold_unknown_noise(self):
         rng = np.random.default_rng(5)

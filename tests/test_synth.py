@@ -44,16 +44,30 @@ class TestRandomLinearSystem:
     def test_validation(self):
         with pytest.raises(InvalidInput):
             random_linear_system(3, 5)
-        with pytest.raises(InvalidInput, match="unknown placement 'prescribed'"):
-            random_linear_system(3, 2, placement="prescribed")  # a spectrum is prescribed by `prescribed=` alone
         with pytest.raises(InvalidInput):
             random_linear_system(3, 2, prescribed=[1j, 2.0])  # not conjugate-closed
 
-    @pytest.mark.parametrize("placement", ["unit_annulus", "mixed_stable_unstable"])
-    def test_rank_zero_is_the_zero_system(self, placement):
-        spec = random_linear_system(5, 0, placement=placement, bias="random")
-        assert spec.r == 0 and spec.eigenvalues.size == 0
+    def test_rank_zero_is_the_zero_system(self):
+        spec = random_linear_system(5, 0, bias="random")
+        assert spec.r == 0 and spec.eigenvalues.size == 0 and spec.eigenvector_matrix.shape == (5, 0)
         assert np.array_equal(spec.matrix, np.zeros((5, 5))) and spec.bias.shape == (5,)
+
+    def test_sizes_read_off_the_arrays(self):
+        spec = LinearSystemSpec([0.5, 0.2j, -0.2j], np.ones((4, 3)), bias=np.zeros(4))
+        assert (spec.n, spec.r) == (4, 3)
+
+    @pytest.mark.parametrize(
+        "lams, V",
+        [([0.5, 0.6], np.ones((3, 1))), ([0.5], np.ones(3)), ([], np.ones(3)), ([[0.5]], np.ones((3, 1)))],
+        ids=["column_count", "vector", "rank_zero_vector", "2d_eigenvalues"],
+    )
+    def test_eigenvector_matrix_shape_rejected(self, lams, V):
+        with pytest.raises(InvalidInput, match="one column per eigenvalue"):
+            LinearSystemSpec(lams, V)
+
+    def test_bias_length_read_off_the_matrix(self):
+        with pytest.raises(InvalidInput, match="bias must be a length-3 vector"):
+            LinearSystemSpec([0.5], np.ones((3, 1)), bias=np.zeros(2))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.5, np.nan)], ids=["nan", "inf", "complex_nan"])
     def test_nonfinite_eigenvalue_rejected(self, bad):
@@ -61,7 +75,7 @@ class TestRandomLinearSystem:
         with pytest.raises(InvalidInput, match="eigenvalues must be finite"):
             random_linear_system(3, 2, prescribed=[bad, 0.25], seed=1)
         with pytest.raises(InvalidInput, match="eigenvalues must be finite"):
-            LinearSystemSpec(2, 1, [bad], np.ones((2, 1)))
+            LinearSystemSpec([bad], np.ones((2, 1)))
 
     def test_negative_rank_rejected(self):
         with pytest.raises(InvalidInput, match="rank -1 must be >= 0"):
@@ -73,11 +87,6 @@ class TestRandomLinearSystem:
         with pytest.raises(InvalidInput, match=f"rank {r} does not match the {len(prescribed)} prescribed"):
             random_linear_system(n, r, prescribed=prescribed)
 
-    def test_mixed_placement_straddles_unit_circle(self):
-        spec = random_linear_system(10, 6, placement="mixed_stable_unstable", seed=3)
-        mods = np.abs(spec.eigenvalues)
-        assert np.any(mods < 1.0) and np.any(mods > 1.0)
-
     def test_random_bias(self):
         spec = random_linear_system(5, 3, seed=9, bias="random")
         assert spec.bias.shape == (5,)
@@ -86,25 +95,18 @@ class TestRandomLinearSystem:
 class TestSimulate:
     def test_golden_affine_values(self):
         spec = LinearSystemSpec(
-            n=2, r=2, eigenvalues=np.array([2.0, 3.0]),
-            eigenvector_matrix=np.eye(2, dtype=complex), bias=np.array([1.0, 2.0]),
+            eigenvalues=np.array([2.0, 3.0]), eigenvector_matrix=np.eye(2, dtype=complex), bias=np.array([1.0, 2.0]),
         )
         X = simulate(spec, np.array([1.0, 1.0]), 3)
         assert np.array_equal(X, [[1, 3, 7, 15], [1, 5, 17, 53]])
 
     def test_pure_forcing_powers(self):
-        spec = LinearSystemSpec(
-            n=1, r=0, eigenvalues=np.empty(0), eigenvector_matrix=np.empty((1, 0)),
-            bias=np.array([1.0]),
-        )
+        spec = LinearSystemSpec(eigenvalues=np.empty(0), eigenvector_matrix=np.empty((1, 0)), bias=np.array([1.0]))
         X = simulate(spec, np.array([0.0]), 3, forcing_lambda=2.0)
         assert np.array_equal(X, [[0.0, 1.0, 2.0, 4.0]])
 
     def test_constant_trajectory(self):
-        spec = LinearSystemSpec(
-            n=2, r=2, eigenvalues=np.array([1.0, 0.5]),
-            eigenvector_matrix=np.eye(2, dtype=complex),
-        )
+        spec = LinearSystemSpec(eigenvalues=np.array([1.0, 0.5]), eigenvector_matrix=np.eye(2, dtype=complex))
         X = simulate(spec, np.array([3.0, 0.0]), 5)
         assert np.allclose(X, np.outer([3.0, 0.0], np.ones(6)))
 
@@ -138,6 +140,17 @@ class TestWellPosedInitialState:
             well_posed_initial_state(spec, seed=26), well_posed_initial_state(spec, seed=26)
         )
 
+    def test_rank_zero_affine_state_is_the_fixed_point(self):
+        # The zero system maps every state to b, so only x1 = b keeps the trajectory at rank 1.
+        spec = random_linear_system(5, 0, bias="random", seed=1)
+        X = simulate(spec, well_posed_initial_state(spec, seed=2), 6)
+        assert np.array_equal(X, np.repeat(spec.bias[:, None], 7, axis=1))
+        assert effective_rank(X[:, :-1]) == 1
+
+    def test_rank_zero_linear_state_is_zero(self):
+        spec = random_linear_system(4, 0, seed=3)
+        assert np.array_equal(well_posed_initial_state(spec, seed=4), np.zeros(4))
+
 
 class TestAddNoise:
     def test_zero_eta_identity(self):
@@ -155,7 +168,7 @@ class TestAddNoise:
         b = add_noise(X, 0.1, 8)
         assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("eta", [-1.0, np.nan], ids=["negative", "nan"])
+    @pytest.mark.parametrize("eta", [-1.0, np.nan, np.inf], ids=["negative", "nan", "inf"])
     def test_bad_eta_rejected(self, eta):
         with pytest.raises(InvalidInput, match="noise level must be nonnegative"):
             add_noise(np.zeros((2, 3)), eta)
@@ -183,6 +196,14 @@ class TestLorenzRk4:
         r1 = errs[0] / errs[1]
         r2 = errs[1] / errs[2]
         assert 8.0 < r1 < 32.0 and 8.0 < r2 < 32.0
+
+    @pytest.mark.parametrize(
+        "x0", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [[1.0, 2.0, 3.0]], [1.0, np.nan, 3.0], [np.inf, 0.0, 0.0]],
+        ids=["short", "long", "row_matrix", "nan", "inf"],
+    )
+    def test_bad_initial_state_rejected(self, x0):
+        with pytest.raises(InvalidInput, match="x0 must be a finite 3-vector"):
+            LorenzParams(x0=x0)
 
     def test_overflow_detection(self):
         with pytest.raises(IntegrationOverflow):
@@ -268,6 +289,26 @@ class TestSynthLineNoise:
     def test_aliasing_rejected(self):
         with pytest.raises(InvalidInput):
             synth_line_noise(4, 100.0, 1.0, 60.0)
+
+    @pytest.mark.parametrize(
+        "fs, duration, f0, message",
+        [
+            (-100.0, 1.0, -60.0, "fs must be positive and finite"),
+            (0.0, 1.0, -60.0, "fs must be positive and finite"),
+            (np.inf, 1.0, 60.0, "fs must be positive and finite"),
+            (100.0, 0.001, 10.0, "must round to at least 2 samples"),
+            (100.0, 0.0149, 10.0, "must round to at least 2 samples"),
+            (100.0, np.inf, 10.0, "must round to at least 2 samples"),
+        ],
+        ids=["negative_fs", "zero_fs", "inf_fs", "one_tenth_sample", "one_sample", "inf_duration"],
+    )
+    def test_no_recording_rejected(self, fs, duration, f0, message):
+        # Each returned fewer than 2 samples per channel or raised an error of NumPy or Python.
+        with pytest.raises(InvalidInput, match=message):
+            synth_line_noise(4, fs, duration, f0)
+
+    def test_two_samples_accepted(self):
+        assert synth_line_noise(4, 100.0, 0.015, 10.0).shape == (4, 2)
 
     def test_determinism(self):
         a = synth_line_noise(4, 200.0, 0.5, 60.0, seed=4)
