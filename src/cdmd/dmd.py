@@ -55,39 +55,37 @@ def _read_only(M) -> np.ndarray:
 class SnapshotPair:
     """One-step-shifted snapshot blocks of a measurement sequence.
 
-    A pair holds a read-only copy of its data, so what a fit computes from it
-    stays valid for the next fit. Shifted blocks (``X2[:, :-1]`` equal to
-    ``X1[:, 1:]``, as from ``split_snapshots``) are kept as one copy of their
-    trajectory, of which ``X1`` and ``X2`` are views, and that copy is checked
-    for non-finite entries once. A tall one is fitted through one kept QR of
-    it, and from its first tall fit on it also keeps the shifted trajectory
+    A pair holds one read-only copy of its data, ``_data``, so what a fit
+    computes from it stays valid for the next fit. ``X1`` is its first T
+    columns and ``X2`` its last T. Shifted blocks (``X2[:, :-1]`` equal to
+    ``X1[:, 1:]``, as from ``split_snapshots``) are stored as their
+    trajectory, T + 1 columns; any other two blocks sit side by side, 2T
+    columns at their common dtype. The copy is checked for non-finite entries
+    once. A tall trajectory is fitted through one kept QR of it, and from its
+    first tall fit on it also keeps the shifted trajectory
     ``[X - mu1 1^T, mu1]`` that the QR factored, one more n x (T+2) block,
-    from which centered fits lift (see ``_factor``). Other blocks are copied
-    and checked one by one. A replaced, copied or unpickled pair is built,
-    and checked, again, without the kept factor.
+    from which centered fits lift (see ``_factor``). A replaced, copied or
+    unpickled pair is built, and checked, again, without the kept factor.
     """
 
     X1: np.ndarray
     X2: np.ndarray
-    _trajectory: np.ndarray | None = field(init=False, repr=False)
+    _data: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        X1, X2, X = np.asarray(self.X1), np.asarray(self.X2), None
+        X1, X2 = np.asarray(self.X1), np.asarray(self.X2)
         if X1.ndim != 2 or X1.shape != X2.shape:
             raise InvalidInput(f"X1 and X2 must share a 2-D shape, got {X1.shape} vs {X2.shape}")
         # Views of one array one column apart are shifted without a look at their values.
         one_array = X1.strides == X2.strides and X2.ctypes.data == X1.ctypes.data + X1.strides[1]
-        if X1.dtype == X2.dtype and (one_array or np.array_equal(X2[:, :-1], X1[:, 1:])):
-            X = _read_only(np.concatenate([X1, X2[:, -1:]], axis=1))
-            X1, X2 = X[:, :-1], X[:, 1:]
-        else:
-            X1, X2 = _read_only(np.array(X1)), _read_only(np.array(X2))
-        # A trajectory is checked once, not as two blocks that share T - 1 columns.
-        if not all(np.all(np.isfinite(M)) for M in ((X1, X2) if X is None else (X,))):
+        shifted = X1.dtype == X2.dtype and (one_array or np.array_equal(X2[:, :-1], X1[:, 1:]))
+        D = _read_only(np.concatenate([X1, X2[:, -1:] if shifted else X2], axis=1))
+        if not np.all(np.isfinite(D)):
             raise InvalidInput("snapshot matrices contain non-finite entries")
-        object.__setattr__(self, "X1", X1)
-        object.__setattr__(self, "X2", X2)
-        object.__setattr__(self, "_trajectory", X)
+        T = X1.shape[1]
+        object.__setattr__(self, "X1", D[:, :T])
+        object.__setattr__(self, "X2", D[:, -T:])
+        object.__setattr__(self, "_data", D)
 
     def __reduce__(self):
         return SnapshotPair, (self.X1, self.X2)  # without the kept factor
@@ -104,9 +102,9 @@ class SnapshotPair:
     def _factor(self):
         """``mu1``, the column mean of ``X1``, the (T+2) x (T+2) R factor of ``Y = [X - mu1 1^T, mu1]``, and ``Y``.
 
-        ``X`` is the trajectory of a shifted pair. Taken on the pair's first
-        tall fit and kept, so every fit of the pair shares one QR (see
-        ``_coordinates``). ``Y`` is kept read-only as well: a centered fit
+        ``X`` is ``_data``, the trajectory of a shifted pair. Taken on the
+        pair's first tall fit and kept, so every fit of the pair shares one QR
+        (see ``_coordinates``). ``Y`` is kept read-only as well: a centered fit
         lifts from its view ``Y[:, 1:T+1] = X2 - mu1 1^T`` rather than
         subtract ``mu1`` from ``X2`` again. It costs one n x (T+2) block for
         the pair's life. The first fit builds it for the QR in any case, but
@@ -114,7 +112,7 @@ class SnapshotPair:
         peak can rise by up to one such block. Raises InvalidInput where the
         factor is non-finite, as when the column norms overflow.
         """
-        X, X1 = self._trajectory, self.X1
+        X, X1 = self._data, self.X1
         with np.errstate(over="ignore", invalid="ignore"):
             mu1 = X1.mean(axis=1)
             if not np.all(np.isfinite(mu1)):  # the sum overflows before the column norms do
@@ -203,15 +201,16 @@ def _fit_amplitudes(modes, x0):
 def _coordinates(data, centered: bool):
     """Coordinates of a pair, shifted by ``mu1`` when ``centered``, in an orthonormal basis ``Q`` of its columns.
 
-    ``data`` is a SnapshotPair or an (R, n, T+1) stack of trajectories, whose
-    pairs are ``X1 = data[..., :-1]`` and ``X2 = data[..., 1:]``. Returns
-    ``C1``, ``C2``, ``cs``, ``Y2`` and ``mu1``, the column mean of ``X1``
-    (None, with ``cs``, unless ``centered``), with
-    ``Y1 = X1 - s 1^T = Q C1``, ``Y2 = X2 - s 1^T = Q C2`` and ``cs = Q^H s``
-    for the shift ``s = mu1`` (0 unless ``centered``). A tall shifted pair
-    (``n >= TALL_FACTOR * (T + 1)``) reads both kinds from its one kept QR
-    of ``[X - mu1 1^T, mu1]`` (see ``SnapshotPair._factor``), and ``Q`` is
-    never formed:
+    ``data`` is a SnapshotPair or an (R, n, T+1) stack of trajectories. Both
+    are read through one array ``D``, a pair's ``_data`` or the stack, as
+    ``X1 = D[..., :T]`` and ``X2 = D[..., -T:]``. Returns ``C1``, ``C2``,
+    ``cs``, ``Y2`` and ``mu1``, the column mean of ``X1`` (None, with ``cs``,
+    unless ``centered``), with ``Y1 = X1 - s 1^T = Q C1``,
+    ``Y2 = X2 - s 1^T = Q C2`` and ``cs = Q^H s`` for the shift ``s = mu1``
+    (0 unless ``centered``). A tall trajectory pair
+    (``n >= TALL_FACTOR * (T + 1)``) reads both kinds from its one kept QR of
+    ``[X - mu1 1^T, mu1]`` (see ``SnapshotPair._factor``), and ``Q`` is never
+    formed:
     - centered, from the (T+1)-row coordinates of the shifted trajectory and
       of ``mu1`` projected on their span; ``Y2`` is a view of the shifted
       trajectory that the QR factored and the pair keeps, so no fit after the
@@ -220,33 +219,27 @@ def _coordinates(data, centered: bool):
       the columns of ``X1 - mu1 1^T`` sum to zero, so ``mu1`` need not lie in
       the span of the shifted trajectory, and the last row of ``R`` is not
       rounding.
-    Any other pair, and stacks, are their own coordinates (``Q = I``); they
-    are views of the data unless centered. When centered, a shifted pair or a
-    stack makes one shifted copy of its trajectories and returns both blocks
-    as views into it. Wide pairs (``n < T``) are factored through their
-    transpose, so the one SVD is T x n (see ``linalg._svd``). A fit needs
-    ``U_r^H`` only on vectors in the range of the data, where it equals
-    ``u_r^H Q^H`` with ``u_r`` from the SVD of ``C1``. The shift by the
-    column means makes rounding relative to the fluctuations rather than to a
-    column offset.
+    Any other pair, and stacks, are their own coordinates (``Q = I``): views
+    of ``D``, or, when centered, of one shifted copy ``D - mu1 1^T``. Wide
+    pairs (``n < T``) are factored through their transpose, so the one SVD is
+    T x n (see ``linalg._svd``). A fit needs ``U_r^H`` only on vectors in the
+    range of the data, where it equals ``u_r^H Q^H`` with ``u_r`` from the
+    SVD of ``C1``. The shift by the column means makes rounding relative to
+    the fluctuations rather than to a column offset.
     """
     pair = isinstance(data, SnapshotPair)
-    X1, X2, X = (data.X1, data.X2, data._trajectory) if pair else (data[..., :-1], data[..., 1:], data)
-    n, T = X1.shape[-2:]
-    if pair and X is not None and n >= TALL_FACTOR * (T + 1):
+    D, T = (data._data, data.T) if pair else (data, data.shape[-1] - 1)
+    if pair and D.shape[-1] == T + 1 and D.shape[-2] >= TALL_FACTOR * (T + 1):
         mu1, R, Y = data._factor
         if centered:
             return R[: T + 1, :T], R[: T + 1, 1 : T + 1], R[: T + 1, -1], Y[:, 1 : T + 1], mu1
         C = R[:, : T + 1] + R[:, -1:]
-        return C[:, :T], C[:, 1:], None, X2, None
-    if not centered:
-        return X1, X2, None, X2, None
-    mu1 = X1.mean(axis=-1)
-    if X is None:
-        Y2 = X2 - mu1[:, None]
-        return X1 - mu1[:, None], Y2, mu1, Y2, mu1
-    Y = X - mu1[..., None]
-    return Y[..., :T], Y[..., 1:], mu1, Y[..., 1:], mu1
+        return C[:, :T], C[:, 1:], None, data.X2, None
+    mu1 = None
+    if centered:
+        mu1 = D[..., :T].mean(axis=-1)
+        D = D - mu1[..., None]
+    return D[..., :T], D[..., -T:], mu1, D[..., -T:], mu1
 
 
 def _eigen_order(lams) -> np.ndarray:
@@ -268,21 +261,22 @@ def _eigen_order(lams) -> np.ndarray:
     return np.lexsort((np.angle(lams), -first))
 
 
-def _frequency_basis(lams, T: int, real: bool):
+def _frequency_basis(lams, T: int):
     """An orthonormal basis ``Q`` of the row space of the Vandermonde matrix ``Lt``, and ``(Lt Q)^-1``.
 
     ``Lt`` is k x T, row i = ``lams[i]**(0..T-1)``, and ``Lt^+ = Q (Lt Q)^-1``.
-    A set of real lams gives real powers, and a real ``Q`` and ``(Lt Q)^-1``
-    from one QR of ``Lt^T``. ``Q`` is also real, from one QR of
-    ``[Re lam^t, Im lam^t]``, for real data (``real``) and a conjugate-closed
-    ``lams``, so the projected data stay real; otherwise it comes from one QR
-    of ``Lt^H``. Raises InvalidInput, naming the two closest lams, where
-    ``Lt Q`` is singular at the rank rule's tolerance (1-norm condition
-    number above ``1 / EXACT_TOL``).
+    A conjugate-closed ``lams``, all-real sets included, gives a real ``Q``,
+    whatever the data, from one QR of ``[Re lam^t; Im lam^t]``: a ``Re`` row
+    for each lam with ``Im lam >= 0`` and an ``Im`` row for each with
+    ``Im lam > 0``. Those rows span the row space of ``Lt``, so real data stay
+    real when projected. Real lams give real powers and a real ``(Lt Q)^-1``
+    as well. Any other set gets a complex ``Q`` from one QR of ``Lt^H``. Raises InvalidInput, naming the
+    two closest lams, where ``Lt Q`` is singular at the rank rule's tolerance
+    (1-norm condition number above ``1 / EXACT_TOL``).
     """
     complex_lams = bool(np.any(lams.imag))
     Lt = vandermonde(lams if complex_lams else lams.real, T).T
-    if real and complex_lams and np.array_equal(np.sort_complex(lams), np.sort_complex(lams.conj())):
+    if np.array_equal(np.sort_complex(lams), np.sort_complex(lams.conj())):
         Q = np.linalg.qr(np.vstack([Lt[lams.imag >= 0].real, Lt[lams.imag > 0].imag]).T)[0]
     else:
         Q = np.linalg.qr(Lt.conj().T)[0]
@@ -340,15 +334,15 @@ def _projected_fit(data, lams, r: int | None, rel_tol: float):
     ``Z U_r^H`` stays factored, never n x n.
     """
     pair = isinstance(data, SnapshotPair)
-    X1, X2 = (data.X1, data.X2) if pair else (data[..., :-1], data[..., 1:])
-    if lams.size >= X1.shape[-1]:
-        raise InvalidInput(f"need fewer fixed frequencies ({lams.size}) than snapshots ({X1.shape[-1]})")
+    T = data.T if pair else data.shape[-1] - 1
+    if lams.size >= T:
+        raise InvalidInput(f"need fewer fixed frequencies ({lams.size}) than snapshots ({T})")
     with np.errstate(over="ignore", invalid="ignore"):
         C1, C2, cs, Y2, mu1 = _coordinates(data, bool(np.any(lams == 1.0)))
-        scale = 0.0 if mu1 is None else np.linalg.norm(mu1, axis=-1)[..., None] * np.sqrt(X1.shape[-1])
+        scale = 0.0 if mu1 is None else np.linalg.norm(mu1, axis=-1)[..., None] * np.sqrt(T)
     C1p = C1  # over the empty set, a view of the data
     if lams.size:
-        Q, LtQ_inv = _frequency_basis(lams, X1.shape[-1], not (np.iscomplexobj(X1) or np.iscomplexobj(X2)))
+        Q, LtQ_inv = _frequency_basis(lams, T)
         Qh = Q.conj().T
         with np.errstate(over="ignore", invalid="ignore"):
             # Q Q^H 1 = 1 when shifted: no row of Q is zero, so a non-finite shifted C shows in C Q.
@@ -401,7 +395,7 @@ def _projected_fit(data, lams, r: int | None, rel_tol: float):
 
     uC1Q, uC2Q = (u.conj().T @ (CQ if cs is None else CQ + np.outer(cs, Q.sum(axis=0))) for CQ in (C1Q, C2Q))
     with np.errstate(over="ignore", invalid="ignore"):
-        B = (X2 @ Q - Z @ uC1Q) @ LtQ_inv
+        B = (data.X2 @ Q - Z @ uC1Q) @ LtQ_inv
     if not np.all(np.isfinite(B)):
         raise InvalidInput("the snapshot matrices are too large: the forcing coefficients are non-finite")
     return base, Z, Atilde, B, (uC2Q - Atilde @ uC1Q) @ LtQ_inv

@@ -246,6 +246,8 @@ def _run_fig5(seed, params, out_dir, rec):
 
 def _run_fig6(seed, params, out_dir, rec):
     eta, n_seeds = params["eta"], params["noise_seeds"]
+    if n_seeds < 1:
+        raise InvalidInput(f"fig6_lorenz needs noise_seeds >= 1, got {n_seeds}")
     X = lorenz_rk4(LorenzParams())
     pair = split_snapshots(X)
 
@@ -306,7 +308,7 @@ def _run_fig8(seed, params, out_dir, rec):
     before = exact_dmd(pair, r=8)
     sub = frequency_subtracted_dmd(pair, lam_pair, r=6)
 
-    Q = _frequency_basis(lam_pair, pair.T, np.isrealobj(pair.X1))[0]  # real: real data, a conjugate pair
+    Q = _frequency_basis(lam_pair, pair.T)[0]  # real: a conjugate pair
     spec_before = dft_power_spectrum(pair.X1, fs)
     spec_after = dft_power_spectrum(pair.X1 - (pair.X1 @ Q) @ Q.T, fs)
     i60 = int(np.argmin(np.abs(spec_before.frequencies - f0)))

@@ -222,7 +222,8 @@ def vandermonde(lambdas, length: int) -> np.ndarray:
     Shape is ``length x len(lambdas)``, powers running 0 .. length-1 down the
     rows; real generators give real powers. Full column rank iff the
     generators are distinct and there are at most ``length`` of them. Raises
-    InvalidInput, naming the generator, when a power overflows.
+    InvalidInput, naming the generator, when it is not finite or a power
+    overflows.
     """
     lam = np.atleast_1d(np.asarray(lambdas))
     lam = lam.astype(complex if np.iscomplexobj(lam) else float)
@@ -230,6 +231,8 @@ def vandermonde(lambdas, length: int) -> np.ndarray:
         raise InvalidInput("lambdas must be nonempty")
     if length < 1:
         raise InvalidInput("length must be >= 1")
+    if not np.all(np.isfinite(lam)):
+        raise InvalidInput(f"lambda = {lam[~np.isfinite(lam)][0]} is not finite")
     with np.errstate(over="ignore", invalid="ignore"):
         V = lam[None, :] ** np.arange(length)[:, None]
     bad = ~np.all(np.isfinite(V), axis=0)

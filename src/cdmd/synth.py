@@ -8,6 +8,7 @@ line-noise experiments.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -107,8 +108,8 @@ class LorenzParams:
     x0: np.ndarray = field(default_factory=lambda: np.array([6.7673, 6.1253, 25.8706]))
 
     def __post_init__(self):
-        if self.dt <= 0 or self.steps < 1:
-            raise InvalidInput("dt must be positive and steps >= 1")
+        if not 0 < self.dt < np.inf or self.steps < 1:
+            raise InvalidInput(f"dt must be positive and finite and steps >= 1, got dt = {self.dt}, steps = {self.steps}")
         x0 = np.asarray(self.x0, dtype=float)
         if x0.shape != (3,) or not np.all(np.isfinite(x0)):
             raise InvalidInput(f"x0 must be a finite 3-vector, got {x0}")
@@ -175,6 +176,16 @@ def random_linear_system(n: int, r: int, prescribed=None, seed: int = 0, bias=No
     return LinearSystemSpec(lams, V, bias)
 
 
+def _forcing(forcing_lambda) -> complex | None:
+    """``forcing_lambda`` as a complex number, or None; raises InvalidInput unless it is finite."""
+    if forcing_lambda is None:
+        return None
+    lam = complex(forcing_lambda)
+    if not cmath.isfinite(lam):
+        raise InvalidInput(f"forcing_lambda must be finite, got {lam}")
+    return lam
+
+
 def well_posed_initial_state(spec: LinearSystemSpec, seed: int = 0, forcing_lambda=None) -> np.ndarray:
     """Initial state exciting every mode, inside the invariant subspace.
 
@@ -186,8 +197,10 @@ def well_posed_initial_state(spec: LinearSystemSpec, seed: int = 0, forcing_lamb
     the whole trajectory (first snapshot included) inside the invariant
     affine subspace of the dynamics. For ``r = 0`` the modal part is zero, so
     the state is that particular solution, or zeros for a linear spec.
-    Deterministic per seed.
+    Deterministic per seed. Raises InvalidInput for a non-finite
+    ``forcing_lambda``.
     """
+    lam = _forcing(forcing_lambda)
     rng = np.random.default_rng(seed)
     coeffs = np.zeros(spec.r, dtype=complex)
     for i, j in _conjugate_pairs(spec.eigenvalues):
@@ -198,8 +211,7 @@ def well_posed_initial_state(spec: LinearSystemSpec, seed: int = 0, forcing_lamb
             coeffs[j] = np.conj(coeffs[i])
     x1 = np.real(spec.eigenvector_matrix @ coeffs)
     if spec.bias is not None:
-        lam = 1.0 if forcing_lambda is None else complex(forcing_lambda)
-        M = lam * np.eye(spec.n) - spec.matrix
+        M = (1.0 if lam is None else lam) * np.eye(spec.n) - spec.matrix
         c, *_ = np.linalg.lstsq(M, spec.bias.astype(complex), rcond=None)
         if np.linalg.norm(M @ c - spec.bias) > 1e-8 * np.linalg.norm(spec.bias):
             raise InvalidInput("affine system has no particular solution for this forcing")
@@ -215,23 +227,21 @@ def simulate(spec: LinearSystemSpec, x1, T: int, forcing_lambda=None) -> np.ndar
     Without forcing, iterates ``x <- A x (+ b)``. With ``forcing_lambda``,
     the affine term is modulated geometrically: ``x_{j+1} = A x_j +
     b * lambda**(j-1)``. Output is real unless a complex forcing makes the
-    trajectory genuinely complex.
+    trajectory genuinely complex. Raises InvalidInput for a non-finite
+    ``forcing_lambda``.
     """
     if T < 1:
         raise InvalidInput("T must be >= 1")
-    if forcing_lambda is not None and spec.bias is None:
+    lam = _forcing(forcing_lambda)
+    if lam is not None and spec.bias is None:
         raise InvalidInput("forcing_lambda requires a bias term")
     x1 = np.asarray(x1)
     if x1.shape != (spec.n,):
         raise InvalidInput(f"x1 must be a length-{spec.n} vector")
     A = spec.matrix
-    complex_forcing = forcing_lambda is not None and abs(complex(forcing_lambda).imag) > 0
-    dtype = complex if complex_forcing or np.iscomplexobj(x1) else float
-    lam = None
-    if forcing_lambda is not None:
-        lam = complex(forcing_lambda)
-        if lam.imag == 0:
-            lam = lam.real
+    dtype = complex if (lam is not None and lam.imag != 0) or np.iscomplexobj(x1) else float
+    if lam is not None and lam.imag == 0:
+        lam = lam.real
     X = np.empty((spec.n, T + 1), dtype=dtype)
     X[:, 0] = x1
     for j in range(T):
@@ -308,8 +318,11 @@ def synth_video(
     The foreground is a small bright block whose position oscillates between
     two nearby sites, so every frame lies in a span of at most five
     complex-exponential modes (effective rank <= 5). Returns
-    (height*width) x (T+1) flattened frames.
+    (height*width) x (T+1) flattened frames. Raises InvalidInput for a frame
+    under 1 x 1 pixels or T < 2.
     """
+    if height < 1 or width < 1:
+        raise InvalidInput(f"need frames of at least 1 x 1 pixels, got {height} x {width}")
     if T < 2:
         raise InvalidInput("need T >= 2 frames")
     rng = np.random.default_rng(seed)
@@ -353,13 +366,13 @@ def synth_line_noise(
     Each channel is the shared ``f0`` sinusoid (random per-channel amplitude
     and phase) plus a handful of low-frequency oscillatory modes and white
     noise. Deterministic per seed. Raises InvalidInput unless ``fs`` is
-    positive and finite, ``f0`` lies below the Nyquist frequency and
+    positive and finite, ``|f0|`` lies below the Nyquist frequency and
     ``fs * duration`` rounds to at least 2 samples.
     """
     if not 0 < fs < np.inf:
         raise InvalidInput(f"fs must be positive and finite, got {fs}")
-    if f0 >= fs / 2:
-        raise InvalidInput(f"f0 = {f0} must be below the Nyquist frequency {fs / 2}")
+    if not abs(f0) < fs / 2:
+        raise InvalidInput(f"|f0| = {abs(f0)} must be below the Nyquist frequency {fs / 2}")
     if not 1.5 <= fs * duration < np.inf:
         raise InvalidInput(f"fs * duration = {fs * duration} must round to at least 2 samples")
     rng = np.random.default_rng(seed)

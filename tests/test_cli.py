@@ -377,6 +377,23 @@ class TestExperiments:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "name, setting, message",
+        [
+            ("fig5_fixed_freq", "lambda=nan", "forcing_lambda must be finite, got (nan+0j)"),
+            ("fig5_fixed_freq", "lambda=inf", "forcing_lambda must be finite, got (inf+0j)"),
+            ("fig6_lorenz", "noise_seeds=0", "fig6_lorenz needs noise_seeds >= 1, got 0"),
+            ("fig7_video", "height=0", "need frames of at least 1 x 1 pixels, got 0 x 16"),
+            ("fig7_video", "width=-1", "need frames of at least 1 x 1 pixels, got 16 x -1"),
+        ],
+        ids=["nan-lambda", "inf-lambda", "no-noise-seeds", "no-rows", "negative-width"],
+    )
+    def test_degenerate_setting_rejected(self, name, setting, message, tmp_path, capsys):
+        # Refused before any fit, with an error: line and no summary.
+        assert main(["experiment", name, "--set", setting, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(tmp_path.glob("*_summary.json"))
+
     @pytest.mark.parametrize("option", [["--input", "m.txt"], ["--rank", "2"]], ids=["input", "rank"])
     def test_custom_options_rejected_elsewhere(self, option, tmp_path, capsys):
         # `experiment` takes custom's matrix and rank as --set input=... and --set rank=... alone.

@@ -81,6 +81,19 @@ class TestSplitSnapshots:
                     block[0, 0] = -1.0
             assert not np.shares_memory(pair.X1, X) and not np.shares_memory(pair.X2, X)
 
+    def test_independent_blocks_are_views_of_one_copy(self):
+        # Blocks that are not shifted sit side by side in one read-only copy,
+        # 2T columns at their common dtype.
+        rng = np.random.default_rng(9)
+        X1, X2 = rng.standard_normal((5, 7)), rng.standard_normal((5, 7)) + 1j * rng.standard_normal((5, 7))
+        pair = SnapshotPair(X1, X2)
+        assert pair.X1.base is pair.X2.base is pair._data and pair._data.shape == (5, 14)
+        assert pair.X1.dtype == pair.X2.dtype == complex
+        assert np.array_equal(pair.X1, X1) and np.array_equal(pair.X2, X2)
+        for block in (pair.X1, pair.X2):
+            with pytest.raises(ValueError):
+                block[0, 0] = -1.0
+
     def test_copies_are_read_only_pairs(self):
         # A pickled or deep-copied pair is rebuilt: its blocks stay read-only
         # views of one copy, it carries neither the kept QR nor the shifted
@@ -240,8 +253,8 @@ ONE_SVD_FITS = {
     "freq_complex_data": lambda pair: frequency_subtracted_dmd(
         SnapshotPair(pair.X1 + 1j * pair.X1[::-1], pair.X2 + 1j * pair.X2[::-1]), [np.exp(0.7j), np.exp(-0.7j)]
     ),
-    "eigenvalues": lambda pair: _eigenvalues(np.stack([pair._trajectory] * 2), 3),
-    "eigenvalues_centered": lambda pair: _eigenvalues(np.stack([pair._trajectory] * 2), 3, centered=True),
+    "eigenvalues": lambda pair: _eigenvalues(np.stack([pair._data] * 2), 3),
+    "eigenvalues_centered": lambda pair: _eigenvalues(np.stack([pair._data] * 2), 3, centered=True),
 }
 
 
@@ -291,7 +304,7 @@ class TestKeptShiftedTrajectory:
         centered_dmd(pair)
         Y = pair._factor[2]
         assert Y.shape == (60, 11) and not Y.flags.writeable
-        assert not np.shares_memory(Y, X) and not np.shares_memory(Y, pair._trajectory)
+        assert not np.shares_memory(Y, X) and not np.shares_memory(Y, pair._data)
         assert np.array_equal(Y[:, :-1], X - pair.X1.mean(axis=1)[:, None])
 
     @pytest.mark.parametrize(
@@ -552,17 +565,20 @@ class TestCenteredDmd:
             assert centered_dmd(pair).base.rank_used == frequency_subtracted_dmd(pair, [1.0]).base.rank_used == exact - 1
 
     def test_wide_shifted_fit_holds_one_trajectory_copy(self):
-        # One shifted n x (T+1) copy of the trajectory, the centered first block
-        # and the SVD's T x n factor: about 3 blocks of X1's size. Shifted and
-        # centered copies of both blocks took 4.2.
-        pair = split_snapshots(np.random.default_rng(0).standard_normal((64, 5001)))
-        tracemalloc.start()
-        try:
-            centered_dmd(pair, r=8)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3.5 * pair.X1.nbytes
+        # One shifted copy of the pair's data, the centered first block and
+        # the SVD's T x n factor. For a trajectory, n x (T+1), that is about 3
+        # blocks of X1's size; shifted and centered copies of both blocks took
+        # 4.2. Two independent blocks, n x 2T, add one block.
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((64, 5001))
+        for pair, blocks in ((split_snapshots(X), 3.5), (SnapshotPair(X[:, :-1], rng.standard_normal((64, 5000))), 4.5)):
+            tracemalloc.start()
+            try:
+                centered_dmd(pair, r=8)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < blocks * pair.X1.nbytes
 
     def test_256x256_video_fixed_point_is_background(self):
         # n = 65536: a dense n x n operator alone would take 34 GB.
@@ -880,16 +896,28 @@ class TestFrequencySubtractedDmd:
         assert peak < 7 * pair.X1.nbytes
 
     def test_real_lambdas_take_a_real_basis(self):
-        # Real powers and a real QR, for real and complex data alike: the same
-        # projector and (Lt Q)^-1 as the complex basis from the QR of Lt^H.
-        lams, T = np.array([1.0, -1.0, 0.5], dtype=complex), 40
-        Lt = vandermonde(lams, T).T
-        Qc = np.linalg.qr(Lt.conj().T)[0]
-        for real in (True, False):
-            Q, LtQ_inv = _frequency_basis(lams, T, real)
-            assert np.isrealobj(Q) and np.isrealobj(LtQ_inv)
+        # A conjugate-closed set, all-real or not, gets a real Q whatever the
+        # data: the same projector and (Lt Q)^-1 as the complex basis from the
+        # QR of Lt^H. Real lams give real powers and a real (Lt Q)^-1 too.
+        T = 40
+        for lams in ([1.0, -1.0, 0.5], [1.0, np.exp(0.7j), np.exp(-0.7j)]):
+            lams = np.array(lams, dtype=complex)
+            Lt = vandermonde(lams, T).T
+            Qc = np.linalg.qr(Lt.conj().T)[0]
+            Q, LtQ_inv = _frequency_basis(lams, T)
+            assert np.isrealobj(Q) and np.isrealobj(LtQ_inv) == (not np.any(lams.imag))
             assert np.linalg.norm(Q @ Q.T - Qc @ Qc.conj().T) <= 1e-14
             assert np.linalg.norm(Q @ LtQ_inv - np.linalg.pinv(Lt)) <= 1e-14 * np.linalg.norm(np.linalg.pinv(Lt))
+        # On complex data the real basis of the complex set removes what its complex basis does.
+        rng = np.random.default_rng(2)
+        truth, t = 0.95 * np.exp(1j * np.array([0.3, 1.1, 1.9, 2.6])), np.arange(T + 1)
+        X = (rng.standard_normal((20, 4)) + 1j * rng.standard_normal((20, 4))) @ truth[:, None] ** t
+        X += (rng.standard_normal((20, 3)) + 1j * rng.standard_normal((20, 3))) @ lams[:, None] ** t
+        pair = split_snapshots(X)
+        P = np.eye(T) - Qc @ Qc.conj().T
+        fit = frequency_subtracted_dmd(pair, lams, r=4).base.eigenvalues
+        _assert_same_spectrum(fit, truth)
+        _assert_same_spectrum(fit, exact_dmd(SnapshotPair(pair.X1 @ P, pair.X2 @ P), r=4).eigenvalues)
 
     def test_validation(self):
         pair = split_snapshots(np.arange(8.0).reshape(2, 4))

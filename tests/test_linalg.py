@@ -143,7 +143,7 @@ class TestOneRankRule:
         assert effective_rank(pair.X1) == 1
         assert consistency_residual(pair) == pytest.approx(rank_one_residual, rel=1e-12)
         with pytest.raises(RankTooHigh):
-            _eigenvalues(np.stack([pair._trajectory] * 2), r=2)
+            _eigenvalues(np.stack([pair._data] * 2), r=2)
 
 
 class TestVandermonde:
@@ -164,6 +164,13 @@ class TestVandermonde:
     def test_empty_rejected(self):
         with pytest.raises(InvalidInput):
             vandermonde([], 3)
+
+    @pytest.mark.parametrize("length", [1, 5])
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf, complex(np.inf, 1.0)], ids=["nan", "neg_inf", "complex_inf"])
+    def test_nonfinite_generator_named(self, bad, length):
+        # The generators are checked, not their powers: at length 1 the only power is lambda**0 = 1.
+        with pytest.raises(InvalidInput, match=re.escape(f"lambda = {np.asarray(bad)} is not finite")):
+            vandermonde([0.5, bad], length)
 
     @pytest.mark.parametrize("big", [1.5, -1.5j, 1e200])
     def test_overflow_names_generator(self, big):
@@ -277,8 +284,8 @@ class TestOneBlasThread:
         "exact": lambda p: exact_dmd(p),
         "centered": lambda p: centered_dmd(p),
         "freq_subtracted": lambda p: frequency_subtracted_dmd(p, [1.0]),
-        "eigenvalues": lambda p: _eigenvalues(p._trajectory[None], r=3),
-        "stacked_centered": lambda p: _eigenvalues(np.stack([p._trajectory] * 2), r=3, centered=True),
+        "eigenvalues": lambda p: _eigenvalues(p._data[None], r=3),
+        "stacked_centered": lambda p: _eigenvalues(np.stack([p._data] * 2), r=3, centered=True),
     }
 
     @pytest.fixture
@@ -347,7 +354,7 @@ class TestOneBlasThread:
             (lambda p: centered_dmd(p, r=0), InvalidInput),
             (lambda p: frequency_subtracted_dmd(p, [1.0], r=50), RankTooHigh),
             (lambda p: frequency_subtracted_dmd(p, [1e10]), InvalidInput),
-            (lambda p: _eigenvalues(p._trajectory[None], r=50, centered=True), RankTooHigh),
+            (lambda p: _eigenvalues(p._data[None], r=50, centered=True), RankTooHigh),
         ],
     )
     def test_count_restored_after_raise(self, fit, error, threads):

@@ -115,6 +115,12 @@ class TestSimulate:
         X = simulate(spec, well_posed_initial_state(spec, seed=16), 10)
         assert np.isrealobj(X)
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, complex(0.5, np.nan)], ids=["nan", "inf", "complex_nan"])
+    def test_nonfinite_forcing_rejected(self, lam):
+        spec = random_linear_system(4, 2, seed=19, bias="random")
+        with pytest.raises(InvalidInput, match="forcing_lambda must be finite"):
+            simulate(spec, np.zeros(4), 5, forcing_lambda=lam)
+
     def test_forcing_requires_bias(self):
         spec = random_linear_system(4, 2, seed=17)
         with pytest.raises(InvalidInput):
@@ -139,6 +145,12 @@ class TestWellPosedInitialState:
         assert np.array_equal(
             well_posed_initial_state(spec, seed=26), well_posed_initial_state(spec, seed=26)
         )
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, complex(0.5, np.nan)], ids=["nan", "inf", "complex_nan"])
+    def test_nonfinite_forcing_rejected(self, lam):
+        spec = random_linear_system(4, 2, seed=19, bias="random")
+        with pytest.raises(InvalidInput, match="forcing_lambda must be finite"):
+            well_posed_initial_state(spec, seed=20, forcing_lambda=lam)
 
     def test_rank_zero_affine_state_is_the_fixed_point(self):
         # The zero system maps every state to b, so only x1 = b keeps the trajectory at rank 1.
@@ -205,6 +217,12 @@ class TestLorenzRk4:
         with pytest.raises(InvalidInput, match="x0 must be a finite 3-vector"):
             LorenzParams(x0=x0)
 
+    @pytest.mark.parametrize("dt", [np.nan, np.inf, 0.0, -0.001], ids=["nan", "inf", "zero", "negative"])
+    def test_bad_step_rejected(self, dt):
+        # NaN fails dt <= 0 as well as dt > 0; a bad step is an argument error, not an overflow.
+        with pytest.raises(InvalidInput, match="dt must be positive and finite"):
+            LorenzParams(dt=dt, steps=3)
+
     def test_overflow_detection(self):
         with pytest.raises(IntegrationOverflow):
             lorenz_rk4(LorenzParams(dt=1.0, steps=100))
@@ -269,6 +287,11 @@ class TestSynthVideo:
     def test_determinism(self):
         assert np.array_equal(synth_video(8, 8, 12, seed=3), synth_video(8, 8, 12, seed=3))
 
+    @pytest.mark.parametrize("height, width", [(0, 8), (8, 0), (-2, 8)])
+    def test_empty_frame_rejected(self, height, width):
+        with pytest.raises(InvalidInput, match="need frames of at least 1 x 1 pixels"):
+            synth_video(height, width, 12)
+
 
 class TestSynthLineNoise:
     def test_shape(self):
@@ -287,8 +310,10 @@ class TestSynthLineNoise:
         assert abs(peak - 60.0) < 1.0
 
     def test_aliasing_rejected(self):
-        with pytest.raises(InvalidInput):
-            synth_line_noise(4, 100.0, 1.0, 60.0)
+        # |f0| is checked: -60 Hz sampled at 100 Hz aliases as 60 Hz does.
+        for f0 in (60.0, -60.0, np.nan):
+            with pytest.raises(InvalidInput, match="must be below the Nyquist frequency"):
+                synth_line_noise(2, 100.0, 0.1, f0)
 
     @pytest.mark.parametrize(
         "fs, duration, f0, message",
