@@ -29,7 +29,6 @@ from .dmd import (
 from .exceptions import IntegrationOverflow, InvalidInput, ParseError, RankTooHigh
 from .experiments import EXPERIMENTS, ExperimentConfig, run_experiment
 from .linalg import (
-    centered_pinv_update,
     effective_rank,
     pinv,
     vandermonde,

@@ -22,6 +22,14 @@ UNIT_TOL = 1e-6
 #: (the exact-mode projection divides by the eigenvalue).
 ZERO_TOL_FACTOR = 1e-10
 
+#: A mode's leading entry is its first above this fraction of its 2-norm
+#: (see ``canonicalize_mode``), so rounding-level entries cannot set its phase.
+LEAD_TOL_FACTOR = 1e-10
+
+#: A reconstruction whose imaginary parts all lie below this fraction of its
+#: largest modulus is returned real (see ``reconstruct``).
+REAL_TOL_FACTOR = 1e-8
+
 #: Eigenvalue moduli within ``TIE_TOL * max |lam|`` below the first of their
 #: group tie and are ordered by angle (see ``_eigen_order``), so rounding
 #: cannot swap a conjugate pair.
@@ -171,7 +179,7 @@ def split_snapshots(X) -> SnapshotPair:
     return SnapshotPair(X[:, :-1], X[:, 1:])
 
 
-def canonicalize_mode(v, tol: float = 1e-10):
+def canonicalize_mode(v):
     """Scale a mode, or each column of a matrix of modes, to unit 2-norm with real positive leading entry.
 
     Returns the canonical mode(s) and the complex factor ``s`` (one per
@@ -181,7 +189,7 @@ def canonicalize_mode(v, tol: float = 1e-10):
     v = np.asarray(v, dtype=complex)
     M = v.reshape(v.shape[0], -1)
     norm = np.linalg.norm(M, axis=0)
-    lead = M[np.argmax(np.abs(M) > tol * norm, axis=0), np.arange(M.shape[1])]  # first entry above tol
+    lead = M[np.argmax(np.abs(M) > LEAD_TOL_FACTOR * norm, axis=0), np.arange(M.shape[1])]
     with np.errstate(divide="ignore", invalid="ignore"):
         s = np.where(norm > 0.0, norm * (lead / np.abs(lead)), 1.0)
     return v / s, (s if v.ndim == 2 else s[0])
@@ -505,9 +513,9 @@ def _modal_propagate(model: DmdModel, x0, steps: int) -> np.ndarray:
     return model.modes @ (powers * amps[None, :]).T  # n x steps
 
 
-def _realify(X, rel_tol: float = 1e-8):
+def _realify(X):
     scale = np.max(np.abs(X)) or 1.0
-    if np.max(np.abs(X.imag)) < rel_tol * scale:
+    if np.max(np.abs(X.imag)) < REAL_TOL_FACTOR * scale:
         return X.real
     return X
 

@@ -1,9 +1,8 @@
 """Dense linear-algebra substrate.
 
 The rank rule that every truncation shares, SVD-backed pseudoinverse,
-effective-rank estimation, rectangular Vandermonde construction, the
-closed-form pseudoinverse of column-centered data, and the gate that runs
-fits on one BLAS thread.
+effective-rank estimation, rectangular Vandermonde construction, and the
+gate that runs fits on one BLAS thread.
 """
 
 from __future__ import annotations
@@ -240,50 +239,3 @@ def vandermonde(lambdas, length: int) -> np.ndarray:
         j = int(np.argmax(bad))
         raise InvalidInput(f"lambda = {lam[j]} (modulus {abs(lam[j]):.6g}) overflows in a Vandermonde basis of length {length}")
     return V
-
-
-def centered_pinv_update(X1, rel_tol: float = EXACT_TOL) -> np.ndarray:
-    """Pseudoinverse of the column-centered matrix via the rank-one update.
-
-    Returns ``(X1 - mu1 @ ones.T)^+`` without explicitly centering, using the
-    two-branch closed form; the branch is selected by whether the ones vector
-    lies in the row space of ``X1``. Raises InvalidInput where float64 cannot
-    tell (see below), as when a column offset many orders larger than the
-    fluctuations puts the ones vector nearly, but not quite, in that space.
-    """
-    X1 = _as_matrix(X1, "X1")
-    T = X1.shape[1]
-    if T < 2:
-        raise InvalidInput("X1 must have at least 2 columns")
-    U, s, Vt = _truncated_svd(X1, rel_tol)
-    inv_s = _inverse_singular_values(s)
-    P = (Vt.conj().T * inv_s) @ U.conj().T
-    # Both branches use 1^T P and m = (I - X1^+ X1) 1, zero iff 1 is in the row
-    # space of X1. They are formed from a = V^H 1 (1^T P = (a^H / s) U^H and
-    # m = 1 - V a), not from products with X1 or P, whose rounding grows with
-    # cond(X1): a large offset makes that large, and m small.
-    a = Vt @ np.ones(T)
-    ones_P = (a.conj() * inv_s) @ U.conj().T
-    m = np.ones(T) - Vt.conj().T @ a
-    # Forming m from r dot products of length T leaves rounding of at most
-    # about eps r T^1.5. The SVD knows each v_j only to an angle of about
-    # eps s_1 / s_j, which moves m by about eps s_1 ||a / s|| = eps s_1 ||1^T P||.
-    # An m within both is taken for zero. One above them, but within the
-    # uniform bound eps cond(X1) sqrt(T) on the second, cannot be told from
-    # zero, and raises.
-    eps = np.finfo(s.dtype).eps
-    rounding = eps * (s.size * T**1.5 + s[0] * np.linalg.norm(ones_P))
-    m_norm = np.linalg.norm(m, np.inf)
-    if m_norm <= rounding:
-        nvec = ones_P.conj()  # P^H 1
-        nn = nvec.conj() @ nvec
-        if nn == 0.0:
-            return P
-        return P - np.outer(P @ nvec, nvec.conj()) / nn
-    if m_norm <= rounding + eps * s[0] / s[-1] * np.sqrt(T):
-        raise InvalidInput(
-            f"cannot tell whether the ones vector lies in the row space of X1 (cond {s[0] / s[-1]:.3g}): "
-            "is a column offset far larger than the fluctuations?"
-        )
-    return P - np.outer(m, ones_P) / np.vdot(m, m)  # 1^T m = m^H m
-

@@ -27,8 +27,9 @@ from cdmd import (
     well_posed_initial_state,
 )
 from cdmd.dmd import canonicalize_mode
-from cdmd.linalg import centered_pinv_update, effective_rank, pinv, vandermonde
+from cdmd.linalg import effective_rank, pinv, vandermonde
 from cdmd.synth import LinearSystemSpec
+from oracles import centered_pinv_update
 
 
 def _report(num: int, name: str, ok: bool, detail: str = ""):

@@ -385,14 +385,25 @@ class TestExperiments:
             ("fig6_lorenz", "noise_seeds=0", "fig6_lorenz needs noise_seeds >= 1, got 0"),
             ("fig7_video", "height=0", "need frames of at least 1 x 1 pixels, got 0 x 16"),
             ("fig7_video", "width=-1", "need frames of at least 1 x 1 pixels, got 16 x -1"),
+            ("fig4_dft", "eta=0", "fig4_dft needs eta > 0, got 0.0"),
+            ("fig7_video", "T=2", "fig7_video needs T >= 3, got 2"),
         ],
-        ids=["nan-lambda", "inf-lambda", "no-noise-seeds", "no-rows", "negative-width"],
+        ids=["nan-lambda", "inf-lambda", "no-noise-seeds", "no-rows", "negative-width", "no-noise", "two-pairs"],
     )
     def test_degenerate_setting_rejected(self, name, setting, message, tmp_path, capsys):
         # Refused before any fit, with an error: line and no summary.
         assert main(["experiment", name, "--set", setting, "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not list(tmp_path.glob("*_summary.json"))
+
+    def test_one_pixel_video_fails_its_spectrum_check(self, tmp_path, capsys):
+        # One pixel leaves the centered fit no eigenvalue against the exact fit's one:
+        # the spectra cannot match, which is a failed check, not an error.
+        code = main(["experiment", "fig7_video", "--set", "height=1", "--set", "width=1", "--out", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert "FAIL fig7_nonbackground_spectra_match: value=inf" in out
+        assert "error:" not in err
 
     @pytest.mark.parametrize("option", [["--input", "m.txt"], ["--rank", "2"]], ids=["input", "rank"])
     def test_custom_options_rejected_elsewhere(self, option, tmp_path, capsys):

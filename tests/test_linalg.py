@@ -29,13 +29,12 @@ from cdmd import linalg
 from cdmd.dmd import _eigenvalues
 from cdmd.experiments import ExperimentConfig, run_experiment
 from cdmd.linalg import (
-    centered_pinv_update,
     effective_rank,
     pinv,
     vandermonde,
 )
 from cdmd.synth import LinearSystemSpec, simulate
-from oracles import unit_eigenvalue_certificate
+from oracles import centered_pinv_update, unit_eigenvalue_certificate
 
 
 def _diag_system(diag, bias=None):

@@ -27,12 +27,11 @@ from cdmd.dmd import TALL_FACTOR, SnapshotPair
 from cdmd.linalg import (
     EXACT_TOL,
     _truncated_svd,
-    centered_pinv_update,
     effective_rank,
     pinv,
     vandermonde,
 )
-from oracles import affine_dmd_direct, unit_eigenvalue_certificate
+from oracles import affine_dmd_direct, centered_pinv_update, unit_eigenvalue_certificate
 
 finite_floats = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False)
 finite_complex = st.complex_numbers(max_magnitude=100.0, allow_nan=False, allow_infinity=False)
